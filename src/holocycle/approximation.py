@@ -2,9 +2,9 @@
 
 The pipeline: a fiberwise-infimum base measure per mesh simplex, stratified
 sampling of leaf pieces, exact polytope clipping into affine cells, pairing
-and C^1 gluing across faces, the normalized chain beta_k, boundary data on
-the skeleton with balance solving, and the inductive closing that turns
-beta_k into an honest cycle eta_k.  Implemented for n in {1, 2}, d <= 4.
+and C^1 gluing across faces, the normalized chain beta_k, and the closing
+that joins or cones its unpaired boundary so that beta_k becomes an honest
+cycle eta_k.  Implemented for n in {1, 2}, d <= 4.
 
 Sampling is leaf-stratified: instead of independent points per simplex we
 draw whole geodesic leaves (segments for n = 1, plane patches for n = 2)
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import FlatTorus, InvalidInputError, gram_volume
+from .geometry import InvalidInputError
 from .measures import DiscreteMeasure, SmoothDensityModel, TestFamily, dist, hol_residual
 from .chains import (
     AffineMap,
@@ -33,10 +33,9 @@ from .chains import (
     cell_measure,
     chain_measure,
     polygon_area,
-    polygon_centroid,
     reparameterize_mass_matched,
 )
-from .triangulation import TorusTriangulation, TransversalityError, balance_weight
+from .triangulation import TorusTriangulation, TransversalityError
 
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -57,10 +56,6 @@ class BaseMeasure:
     triangulation: TorusTriangulation
     model: SmoothDensityModel
     chart_points: np.ndarray  # (num_tops, q, d)
-
-    @property
-    def level(self):
-        return self.triangulation.level
 
     def density(self, sim_index, v):
         """rho_bar_k(x, v) for x in the sim_index-th simplex; v is (k, n, d)."""
@@ -154,43 +149,6 @@ class SampleSet:
     __test__ = False
 
 
-def _sim_halfspaces(tri, idx):
-    """Cached (halfspaces, facet keys) of a top simplex."""
-    cache = getattr(tri, "_approx_hs_cache", None)
-    if cache is None:
-        cache = {}
-        tri._approx_hs_cache = cache
-    if idx not in cache:
-        top = tri.top_simplices[idx]
-        cache[idx] = (top.halfspaces(), [f.key() for f in top.facets()])
-    return cache[idx]
-
-
-def _mesh_direction_matrices(tri, n):
-    """Direction matrices of the (d-n)-faces of the reference Kuhn simplices."""
-    cache = getattr(tri, "_approx_dir_cache", None)
-    if cache is not None and n in cache:
-        return cache[n]
-    d = tri.torus.dim
-    m = d - n
-    mats = {}
-    for top in tri.top_simplices[:math.factorial(d)]:
-        verts = top.array()
-        for comb in itertools.combinations(range(d + 1), m + 1):
-            sub = verts[list(comb)]
-            dirs = sub[1:] - sub[0]
-            if m == 0:
-                continue
-            key = tuple(np.round(dirs * (1 << tri.level)).astype(int).reshape(-1))
-            mats[key] = dirs
-    out = list(mats.values())
-    if cache is None:
-        cache = {}
-        tri._approx_dir_cache = cache
-    cache[n] = out
-    return out
-
-
 def _frame_transversal(tri, V, tol=1e-6):
     """A2: the leaf plane meets every mesh face of dim >= d-n transversally."""
     d = tri.torus.dim
@@ -198,7 +156,7 @@ def _frame_transversal(tri, V, tol=1e-6):
     scale = np.linalg.norm(V) + 1e-300
     if n == d:
         return abs(np.linalg.det(V)) > tol * scale ** n
-    for dirs in _mesh_direction_matrices(tri, n):
+    for dirs in tri.face_directions(n):
         M = np.vstack([V, dirs])
         if M.shape[0] != d:
             continue
@@ -226,7 +184,7 @@ def _march_line(tri, anchor, v, length, t_start=0.0):
     while t < length - 1e-13:
         x_probe = anchor + (t + eps) * v
         idx, shift = _lift_of(tri, x_probe)
-        halves, face_keys = _sim_halfspaces(tri, idx)
+        halves, face_keys = tri.top_halfspaces(idx)
         t_exit, exit_face = length, ("end",)
         for j, (nu, p) in enumerate(halves):
             a = float(nu @ v)
@@ -305,7 +263,7 @@ def _patch_pieces(tri, anchor, V, extent):
     while queue:
         idx, shift = queue.pop()
         poly, labels = square, list(square_labels)
-        halves, face_keys = _sim_halfspaces(tri, idx)
+        halves, face_keys = tri.top_halfspaces(idx)
         for j, (nu, p) in enumerate(halves):
             a_clip = -(V @ nu)
             b_clip = -float(nu @ (p + shift - anchor))
@@ -687,122 +645,17 @@ def glue(records, pairing: Pairing, snap_tol=1e-12):
 # beta assembly
 # ---------------------------------------------------------------------------
 
-def assemble_beta(records, margin=1e-3):
-    """Normalized chain beta_k plus the margin-extended beta~_k.
+def assemble_beta(records):
+    """Normalized chain beta_k and its normalizer Z.
 
-    Coefficients are 1/Z with Z the total domain volume; the extension
-    enlarges each cell's domain by the relative margin in its unpaired
-    directions so that the extended cells cross the (d-1)-skeleton.
+    Every cell gets the coefficient 1/Z, with Z the total domain volume, so
+    the induced measure of beta_k has total mass one.
     """
     Z = sum(rec.dvol for rec in records)
     if Z <= 0:
         raise InvalidInputError("empty sample set")
     coeff = 1.0 / Z
-    beta_terms = []
-    tilde_terms = []
-    for rec in records:
-        beta_terms.append((coeff, rec.cell))
-        dom = rec.cell.domain
-        if rec.cell.n == 1:
-            t0, t1 = dom.lo[0], dom.hi[0]
-            pad = margin * (t1 - t0)
-            lo = t0 - (0.0 if 0 in rec.paired else pad)
-            hi = t1 + (0.0 if 1 in rec.paired else pad)
-            tdom = Box((lo,), (hi,))
-        else:
-            poly = dom.polygon()
-            centroid = polygon_centroid(poly)
-            scale = np.ones(len(poly))
-            for k in range(len(poly)):
-                if k not in rec.paired:
-                    scale[k] = 1.0 + margin
-            verts = centroid[None] + (poly - centroid[None])
-            grown = centroid[None] + (1.0 + margin) * (poly - centroid[None])
-            mixed = np.where(
-                np.array([[k in rec.paired] * 2 for k in range(len(poly))]),
-                verts, grown)
-            tdom = PolygonDomain(tuple(map(tuple, mixed)))
-        tilde_terms.append((coeff, Cell(rec.cell.torus, tdom, rec.cell.map,
-                                        rec.cell.resolution)))
-    return Chain(tuple(beta_terms)), Chain(tuple(tilde_terms)), Z
-
-
-# ---------------------------------------------------------------------------
-# boundary data
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundaryData:
-    """Skeleton atoms with weights, plus the balance solve diagnostics."""
-
-    x: np.ndarray         # (k, d) positions on the (d-n)-skeleton
-    v: np.ndarray         # (k, n, d) frames
-    signs: np.ndarray     # (k,) +1 for outgoing, -1 for incoming
-    weights: np.ndarray   # (k,) positive weights r_i
-    owners: np.ndarray    # (k,) owning record index
-    residual_before: float
-    residual_after: float
-
-
-def _skeleton_atoms(records, Z, n):
-    """Signed slice atoms of the extended chain on the (d-n)-skeleton."""
-    xs, vs, signs, owners = [], [], [], []
-    for rec in records:
-        amap = rec.cell.map
-        if n == 1:
-            dom = rec.cell.domain
-            for pos, lab in ((0, rec.labels[0]), (1, rec.labels[1])):
-                t_end = dom.lo[0] if pos == 0 else dom.hi[0]
-                x = amap(np.array([[t_end]]))[0]
-                xs.append(x)
-                vs.append(rec.cell.map.jacobian(np.array([[t_end]]))[0])
-                signs.append(1.0 if pos == 1 else -1.0)
-                owners.append(rec.index)
-        else:
-            poly = rec.cell.domain.polygon()
-            for k in range(len(poly)):
-                # polygon corners project to the (d-2)-skeleton
-                x = amap(poly[k][None])[0]
-                xs.append(x)
-                vs.append(amap.jacobian(poly[k][None])[0])
-                signs.append(1.0)
-                owners.append(rec.index)
-    return (np.array(xs), np.array(vs), np.array(signs, float),
-            np.array(owners, int))
-
-
-def boundary_data(records, Z, tri, n, tol=1e-9):
-    """U1-U3 boundary data for the closing stage.
-
-    Starts from the slice atoms of the extended cells with weights 1/Z and
-    corrects them by a least-norm nonnegative adjustment so that every
-    per-simplex balance (length-n chains, n = 1) vanishes; the max balance
-    residual before and after is reported.  For n = 2 the balance solve is
-    carried at the pairing level by the closing construction itself and the
-    reported residuals are those of the raw atoms.
-    """
-    xs, vs, signs, owners = _skeleton_atoms(records, Z, n)
-    w0 = np.full(len(xs), 1.0 / Z)
-    if n == 1:
-        sim_of = {rec.index: rec.sim for rec in records}
-        owner_sim = np.array([sim_of[i] for i in owners], int)
-        # balance matrix: one row per simplex, entries = signs
-        unique = np.unique(owner_sim)
-        A = np.zeros((len(unique), len(xs)))
-        for r, s in enumerate(unique):
-            A[r, owner_sim == s] = signs[owner_sim == s]
-        before = float(np.abs(A @ w0).max()) if len(xs) else 0.0
-        w = w0.copy()
-        for _ in range(4):
-            # least-norm correction onto the balance null space, then clip
-            lam = np.linalg.lstsq(A @ A.T + 1e-12 * np.eye(len(A)), A @ w,
-                                  rcond=None)[0]
-            w = np.clip(w - A.T @ lam, 0.0, None)
-        after = float(np.abs(A @ w).max()) if len(xs) else 0.0
-    else:
-        before = after = 0.0
-        w = w0
-    return BoundaryData(xs, vs, signs, w, owners, before, after)
+    return Chain(tuple((coeff, rec.cell) for rec in records)), Z
 
 
 # ---------------------------------------------------------------------------
@@ -887,8 +740,7 @@ def isoperimetric_fill(theta: Chain, m, apex=None, tol=1e-9):
     ends = {}
     pts = []
     for a, cell in theta.terms:
-        dom = cell.domain
-        lo, hi = (dom.lo[0], dom.hi[0]) if isinstance(dom, Box) else dom.interval()
+        lo, hi = cell.domain.interval()
         p0 = cell.map(np.array([[lo]]))[0]
         p1 = cell.map(np.array([[hi]]))[0]
         pts.extend([p0, p1])
@@ -907,7 +759,7 @@ def isoperimetric_fill(theta: Chain, m, apex=None, tol=1e-9):
     perimeter = 0.0
     diam = 0.0
     for a, cell in theta.terms:
-        cone = ConeMap(_shift_toward(cell.map, apex), apex)
+        cone = ConeMap(_ShiftedCurve(cell.map, apex), apex)
         res = 1 << max(1, int(math.ceil(math.log2(cell.resolution + 1))))
         # the ccw square boundary traverses the curve edge reversed, so the
         # fill needs the opposite coefficient for d(sigma) = theta
@@ -941,23 +793,16 @@ class _ShiftedCurve:
                 "base": self.base.to_dict()}
 
 
-def _shift_toward(curve_map, apex):
-    return _ShiftedCurve(curve_map, apex)
-
-
 # ---------------------------------------------------------------------------
 # closing
 # ---------------------------------------------------------------------------
 
-def _domain_interval(dom):
-    if isinstance(dom, Box):
-        return dom.lo[0], dom.hi[0]
-    return dom.interval()
-
-
-def close_up(beta: Chain, records, pairing: Pairing, bd: BoundaryData, tri,
-             snap_tol=1e-10, connector_resolution=6, leaves=None):
+def close_up(beta: Chain, records, tri, connector_resolution=6, leaves=None):
     """Close beta_k into a cycle eta_k, per the inductive E-conditions.
+
+    The closing is read off the records' pairing (`CellRecord.paired`, as
+    filled by `pair_cells`): paired facets cancel as they are, and only the
+    unpaired boundary gets new material.
 
     n = 1: paired endpoints cancel at float precision by construction; the
     remaining signed endpoints are joined by short unit-speed segments
@@ -978,15 +823,13 @@ def close_up(beta: Chain, records, pairing: Pairing, bd: BoundaryData, tri,
     torus = beta.terms[0][1].torus
     n = beta.terms[0][1].n
     coeff = beta.terms[0][0]
-    by_index = {rec.index: rec for rec in records}
     hierarchy = {"connector_mass": 0.0, "fill_mass": 0.0,
                  "n_connectors": 0, "n_cones": 0, "n_loops": 0}
     extra = []
     if n == 1:
         plus, minus = [], []
         for rec in records:
-            dom = rec.cell.domain
-            lo, hi = _domain_interval(dom)
+            lo, hi = rec.cell.domain.interval()
             for pos, t_end, sign in ((0, lo, -1.0), (1, hi, 1.0)):
                 if pos in rec.paired:
                     continue
@@ -1073,7 +916,7 @@ def close_up(beta: Chain, records, pairing: Pairing, bd: BoundaryData, tri,
             apex = apex - np.round(apex - 0.5 * (p0 + p1))
             emap = ComposedAffineParam(rec.cell.map, (b_v - a_v).reshape(1, 2),
                                        a_v)
-            cone = ConeMap(_shift_toward(emap, apex), apex)
+            cone = ConeMap(_ShiftedCurve(emap, apex), apex)
             res = 1 << max(1, int(math.ceil(math.log2(max(
                 2, rec.cell.resolution // 2)))))
             cell = Cell(torus, Box((0.0, 0.0), (1.0, 1.0)), cone, res)
@@ -1097,7 +940,7 @@ def close_up(beta: Chain, records, pairing: Pairing, bd: BoundaryData, tri,
             seg, length = _segment_cell(torus, a, b, 4)
             if seg is None:
                 continue
-            cmap = ConeMap(_shift_toward(seg.map, centroid), centroid)
+            cmap = ConeMap(_ShiftedCurve(seg.map, centroid), centroid)
             cell = Cell(torus, Box((0.0, 0.0), (length, 1.0)), cmap, 4)
             extra.append((coeff, cell))
     eta = Chain(beta.terms + tuple(extra))
@@ -1189,12 +1032,14 @@ def _base_cloud(ref: DiscreteMeasure, base: BaseMeasure):
     if model.x_constant:
         return ref
     sims = np.array([tri.locate_index(x) for x in ref.x])
-    w = ref.w.copy()
     rho = model(ref.x, ref.v)
-    for i in range(len(ref.w)):
-        rb = base.density(sims[i], ref.v[i][None])[0]
-        if rho[i] > 1e-300:
-            w[i] *= rb / rho[i]
+    rho_bar = np.empty(len(ref.w))
+    for s in np.unique(sims):
+        at = sims == s
+        rho_bar[at] = base.density(s, ref.v[at])
+    w = ref.w.copy()
+    pos = rho > 1e-300
+    w[pos] *= rho_bar[pos] / rho[pos]
     return DiscreteMeasure(ref.torus, ref.n, ref.x, ref.v, w)
 
 
@@ -1269,12 +1114,9 @@ def approximate(model: SmoothDensityModel, cfg: PipelineConfig = None,
             stage = "gluing"
             records, dropped = glue(records, pairing)
             stage = "beta"
-            beta, beta_tilde, Z = assemble_beta(records)
-            stage = "boundary-data"
-            bd = boundary_data(records, Z, tri, model.n)
+            beta, Z = assemble_beta(records)
             stage = "closing"
-            eta, hierarchy = close_up(beta, records, pairing, bd, tri,
-                                      leaves=samples.leaves)
+            eta, hierarchy = close_up(beta, records, tri, leaves=samples.leaves)
         except (InvalidInputError, TransversalityError) as exc:
             raise InvalidInputError(f"stage {stage} failed at k={k}: {exc}") from exc
         quad_beta, quad_eta = _quadrature_chains(samples, beta, eta, records,
@@ -1301,8 +1143,6 @@ def approximate(model: SmoothDensityModel, cfg: PipelineConfig = None,
             "mass_gap": hierarchy["connector_mass"] + hierarchy["fill_mass"],
             "total_mass_gap": abs(mu_eta_raw.total_mass() - mu_beta.total_mass()),
             "hol_residual": hol_residual(mu_eta, cfg.hol_cutoff),
-            "balance_residual_before": bd.residual_before,
-            "balance_residual_after": bd.residual_after,
             "connector_mass": hierarchy["connector_mass"],
             "fill_mass": hierarchy["fill_mass"],
             "rotation": [float(t) for t in

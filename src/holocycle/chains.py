@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,6 +110,9 @@ class Box:
     def volume(self):
         return float(np.prod(np.array(self.hi) - np.array(self.lo)))
 
+    def interval(self):
+        return self.lo[0], self.hi[0]
+
     def polygon(self):
         (x0, y0), (x1, y1) = self.lo, self.hi
         return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]], float)
@@ -131,6 +134,10 @@ class SimplexDomain:
     def volume(self):
         v = np.array(self.vertices, float)
         return abs(float(np.linalg.det(v[1:] - v[0]))) / math.factorial(self.n)
+
+    def interval(self):
+        v = np.array(self.vertices, float).reshape(-1)
+        return min(v), max(v)
 
     def polygon(self):
         return ensure_ccw(np.array(self.vertices, float))
@@ -505,14 +512,7 @@ def _quad_nodes(domain, resolution):
                      axis=-1).reshape(-1, n).prod(axis=1)
         return grid, w
     if n == 1:
-        if isinstance(domain, ClippedBox):
-            lo, hi = domain.interval()
-        elif isinstance(domain, SimplexDomain):
-            v = np.array(domain.vertices, float).reshape(-1)
-            lo, hi = min(v), max(v)
-        else:
-            raise InvalidInputError("unsupported 1-d domain")
-        t, w = _gl_interval(lo, hi, resolution)
+        t, w = _gl_interval(*domain.interval(), resolution)
         return t.reshape(-1, 1), w
     if n == 2:
         poly = domain.polygon()
@@ -568,13 +568,7 @@ def boundary(alpha: Chain):
         if n == 0:
             continue
         if n == 1:
-            if isinstance(cell.domain, ClippedBox):
-                lo, hi = cell.domain.interval()
-            elif isinstance(cell.domain, Box):
-                lo, hi = cell.domain.lo[0], cell.domain.hi[0]
-            else:
-                v = np.array(cell.domain.vertices, float).reshape(-1)
-                lo, hi = min(v), max(v)
+            lo, hi = cell.domain.interval()
             for t_end, sign in ((hi, 1.0), (lo, -1.0)):
                 x = cell.map(np.array([[t_end]]))[0]
                 out.append((sign * a, Cell(cell.torus, PointDomain(), ConstantMap(x), 1)))
@@ -612,10 +606,7 @@ def reparameterize_mass_matched(cell: Cell):
         speed = float(np.linalg.norm(V[0]))
         if speed < 1e-14:
             raise InvalidInputError("zero-speed cell")
-        if isinstance(cell.domain, Box):
-            lo, hi = cell.domain.lo[0], cell.domain.hi[0]
-        else:
-            lo, hi = cell.domain.interval()
+        lo, hi = cell.domain.interval()
         new_dom = Box((lo * speed,), (hi * speed,))
         new_map = AffineMap(cell.map.x0, V / speed)
         return Cell(cell.torus, new_dom, new_map, cell.resolution)

@@ -25,7 +25,6 @@ from .chains import ExprMap, chain_measure, chain_to_dict
 from .measures import (
     DiscreteMeasure,
     SmoothDensityModel,
-    hol_residual,
     read_measure,
     velocity_bump_model,
     write_measure,
@@ -360,8 +359,6 @@ def build_parser():
         epilog="report.csv columns: " + ",".join(CSV_COLUMNS))
     p.add_argument("--config", help="run configuration (INI)")
     p.add_argument("--seed", type=int, help="seed override")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for grid stages")
     p.add_argument("--out", default=".", help="output directory")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -407,9 +404,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        print("--threads must be positive", file=sys.stderr)
-        return EXIT_INPUT
     os.makedirs(args.out, exist_ok=True)
     try:
         return args.func(args)

@@ -11,8 +11,7 @@ by a given pair of fields.
 """
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

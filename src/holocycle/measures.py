@@ -7,9 +7,8 @@ against exact forms, and mollifier smoothing.
 """
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

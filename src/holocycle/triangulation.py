@@ -121,19 +121,22 @@ class TorusTriangulation:
         self.torus = torus
         self.level = level
         self.h = 2.0 ** -level
+        self._perm_index = {p: i for i, p in
+                            enumerate(sorted(itertools.permutations(range(d))))}
         self._tops = self._build_tops()
         self._skeletons = {}
+        self._halfspaces = {}       # top index -> (half-spaces, facet keys)
+        self._face_directions = {}  # n -> direction matrices of (d-n)-faces
         self._check_invariants()
 
     # -- construction -------------------------------------------------
     def _build_tops(self):
         d = self.torus.dim
         res = 1 << self.level
-        perms = sorted(itertools.permutations(range(d)))
         tops = []
         for cube in itertools.product(range(res), repeat=d):
             base = np.array(cube, float) * self.h
-            for perm in perms:
+            for perm in self._perm_index:
                 verts = [tuple(base)]
                 cur = base.copy()
                 for axis in perm:
@@ -150,7 +153,6 @@ class TorusTriangulation:
         assert self._tops[0].volume() > 0
         # refinement coherence (T1) on a sample of simplices
         if self.level > 1:
-            coarse_res = 1 << (self.level - 1)
             step = max(1, len(self._tops) // 64)
             for s in self._tops[::step]:
                 parent = locate_simplex(self.torus, self.level - 1, s.barycenter())
@@ -185,19 +187,43 @@ class TorusTriangulation:
 
     def locate_index(self, x):
         """Index of the containing top simplex in top_simplices order."""
-        d = self.torus.dim
         res = 1 << self.level
         x = self.torus.wrap(np.asarray(x, float))
         cube = np.minimum((x * res).astype(int), res - 1)
         frac = x * res - cube
         perm = tuple(np.argsort(-frac, kind="stable"))
-        if not hasattr(self, "_perm_index"):
-            perms = sorted(itertools.permutations(range(d)))
-            self._perm_index = {p: i for i, p in enumerate(perms)}
         cube_index = 0
         for c in cube:
             cube_index = cube_index * res + int(c)
         return cube_index * len(self._perm_index) + self._perm_index[perm]
+
+    def top_halfspaces(self, idx):
+        """(half-spaces, facet keys) of the idx-th top simplex, cached."""
+        if idx not in self._halfspaces:
+            top = self._tops[idx]
+            self._halfspaces[idx] = (top.halfspaces(),
+                                     [f.key() for f in top.facets()])
+        return self._halfspaces[idx]
+
+    def face_directions(self, n):
+        """Direction matrices of the (d-n)-faces of the reference simplices.
+
+        The d! tops of the first grid cube carry every face direction of the
+        mesh; one matrix per distinct direction, cached per n.
+        """
+        if n not in self._face_directions:
+            m = self.torus.dim - n
+            mats = {}
+            # vertices (m = 0) have no directions
+            for top in self._tops[:len(self._perm_index)] if m > 0 else []:
+                verts = top.array()
+                for comb in itertools.combinations(range(len(verts)), m + 1):
+                    dirs = verts[list(comb[1:])] - verts[comb[0]]
+                    key = tuple(np.round(dirs * (1 << self.level))
+                                .astype(int).reshape(-1))
+                    mats[key] = dirs
+            self._face_directions[n] = list(mats.values())
+        return self._face_directions[n]
 
     def containing_level1(self, simplex: Simplex):
         return locate_simplex(self.torus, 1, simplex.barycenter())
@@ -506,8 +532,6 @@ def _band_value(facet, x):
 
 def _slice_cell_trace(cell, coeff, C, torus, resolution=8, cond_tol=1e-6):
     """One-constraint slice of a 2-cell: the clipped trace segment."""
-    from .chains import Box, ClippedBox
-
     if len(C) != 1:
         raise InvalidInputError("trace slicing implemented for n=2, length-1 C")
     pieces, _ = facet_pieces(C[0])

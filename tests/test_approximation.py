@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holocycle.geometry import FlatTorus, InvalidInputError
-from holocycle.chains import AffineMap, Box, Cell, Chain, cell_measure, chain_measure
+from holocycle.chains import (
+    AffineMap,
+    Box,
+    Cell,
+    Chain,
+    boundary,
+    cell_measure,
+    chain_measure,
+)
 from holocycle.measures import (
     SmoothDensityModel,
     hol_residual,
@@ -18,16 +26,17 @@ from holocycle.approximation import (
     PipelineConfig,
     assemble_beta,
     base_measure,
-    boundary_data,
     close_up,
     glue,
     isoperimetric_fill,
     pair_cells,
     sample_cells,
     solve_cells,
+    _base_cloud,
     _frame_transversal,
     _march_line,
     _patch_pieces,
+    _reference_cloud,
 )
 from holocycle.chains import polygon_area
 
@@ -79,6 +88,29 @@ def test_base_measure_is_a_lower_bound():
         vals = model(pts, np.broadcast_to(v, (16, 1, 2)))
         rb = base.density(idx, v)[0]
         assert rb <= vals.min() + 0.15 * (vals.max() - vals.min()) + 1e-9
+
+
+def test_base_cloud_matches_per_atom_loop():
+    # one density call per simplex must give the per-atom weights bit for bit
+    bump = line_model()
+    model = SmoothDensityModel(
+        T2, 1, lambda x, v: (1.0 + 0.5 * np.cos(2 * np.pi * x[:, 0]))
+        * bump.density(x, v), bump.radius, x_constant=False,
+        v_sampler=bump.v_sampler)
+    tri = TorusTriangulation(T2, 2)
+    base = base_measure(model, tri)
+    ref = _reference_cloud(model, PipelineConfig(reference_x_res=4,
+                                                 reference_v_samples=16))
+    rho = model(ref.x, ref.v)
+    want = ref.w.copy()
+    for i in range(len(want)):
+        rb = base.density(tri.locate_index(ref.x[i]), ref.v[i][None])[0]
+        if rho[i] > 1e-300:
+            want[i] *= rb / rho[i]
+    got = _base_cloud(ref, base)
+    assert np.array_equal(got.w, want)
+    assert np.array_equal(got.x, ref.x) and np.array_equal(got.v, ref.v)
+    assert not np.array_equal(got.w, ref.w)
 
 
 def test_base_measure_dimension_guard():
@@ -197,11 +229,9 @@ def pipeline_records(model, level=2, leaf_count=3, extent=2.0, seed=3):
 
 def test_beta_total_mass_is_one():
     _, _, records = pipeline_records(line_model())
-    beta, beta_tilde, Z = assemble_beta(records)
+    beta, Z = assemble_beta(records)
     assert chain_measure(beta).total_mass() == pytest.approx(1.0, abs=1e-12)
     assert Z == pytest.approx(sum(r.dvol for r in records))
-    # the extension strictly grows unpaired cells
-    assert chain_measure(beta_tilde).total_mass() >= 1.0
 
 
 def test_interior_traces_pair_up():
@@ -265,17 +295,6 @@ def test_glue_blends_offset_pair_to_c1():
     assert np.linalg.norm(da - db) < 1e-4
 
 
-# -- boundary data -----------------------------------------------------
-
-def test_boundary_balance_repair():
-    tri, _, records = pipeline_records(line_model(), leaf_count=3)
-    _, _, Z = assemble_beta(records)
-    bd = boundary_data(records, Z, tri, 1)
-    assert bd.residual_after <= bd.residual_before + 1e-15
-    assert bd.weights.min() >= 0.0
-    assert len(bd.x) == 2 * len(records)
-
-
 # -- fillings ----------------------------------------------------------
 
 def test_fill_matched_points():
@@ -328,16 +347,37 @@ def test_close_up_n1_produces_near_cycle():
                                              extent=3.0)
     pairing = pair_cells(records, tri)
     records, _ = glue(records, pairing)
-    beta, _, Z = assemble_beta(records)
-    bd = boundary_data(records, Z, tri, 1)
-    eta, hierarchy = close_up(beta, records, pairing, bd, tri,
-                              leaves=samples.leaves)
+    beta, _ = assemble_beta(records)
+    eta, hierarchy = close_up(beta, records, tri, leaves=samples.leaves)
     assert hierarchy["n_connectors"] >= 1
     mu_eta = chain_measure(eta)
     mu_eta = mu_eta.scaled(1.0 / mu_eta.total_mass())
     mu_beta = chain_measure(beta)
     assert hol_residual(mu_eta, 2) < 5e-3
     assert hol_residual(mu_beta, 2) > hol_residual(mu_eta, 2)
+
+
+def endpoint_imbalance(chain, decimals=9):
+    """Largest net coefficient at one point of the boundary 0-chain."""
+    net = {}
+    for a, cell in boundary(chain).terms:
+        x = cell.torus.wrap(cell.map.x0)
+        key = tuple(np.round(x * 10 ** decimals).astype(int) % 10 ** decimals)
+        net[key] = net.get(key, 0.0) + a
+    return max((abs(v) for v in net.values()), default=0.0)
+
+
+def test_close_up_n1_boundary_cancels():
+    tri, samples, records = pipeline_records(line_model(), leaf_count=4,
+                                             extent=3.0)
+    pairing = pair_cells(records, tri)
+    records, _ = glue(records, pairing)
+    beta, Z = assemble_beta(records)
+    eta, _ = close_up(beta, records, tri, leaves=samples.leaves)
+    # beta_k is open at the leaf ends; the closed eta_k has boundary zero as
+    # a signed multiset of endpoints, not just a small holonomy residual
+    assert endpoint_imbalance(beta) == pytest.approx(1.0 / Z)
+    assert endpoint_imbalance(eta) <= 1e-12 / Z
 
 
 def test_close_up_wrapping_patch_uses_cylinder_fills():
@@ -349,10 +389,8 @@ def test_close_up_wrapping_patch_uses_cylinder_fills():
     records = solve_cells(samples, nodes_per_unit=8.0)
     pairing = pair_cells(records, tri)
     records, _ = glue(records, pairing)
-    beta, _, Z = assemble_beta(records)
-    bd = boundary_data(records, Z, tri, 2)
-    eta, hierarchy = close_up(beta, records, pairing, bd, tri,
-                              leaves=samples.leaves)
+    beta, _ = assemble_beta(records)
+    eta, hierarchy = close_up(beta, records, tri, leaves=samples.leaves)
     # the unit patch closes around the torus: cylinder fills, no cones
     assert hierarchy["n_cones"] == 0
     assert hierarchy["fill_mass"] < 1e-2
@@ -362,7 +400,7 @@ def test_close_up_wrapping_patch_uses_cylinder_fills():
 
 def test_close_up_empty_rejected():
     with pytest.raises(InvalidInputError):
-        close_up(Chain(()), [], None, None, None)
+        close_up(Chain(()), [], None)
 
 
 # -- driver ------------------------------------------------------------

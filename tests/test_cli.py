@@ -225,10 +225,3 @@ def test_pseudoholo_wrong_dimension(tmp_path):
     xp = write_fields(tmp_path / "x3.json", 3, [const_field(3, [1, 0, 0])])
     rc = main(["--out", str(tmp_path), "pseudoholo", xp, xp])
     assert rc == 2
-
-
-# -- plumbing ----------------------------------------------------------
-
-def test_threads_guard(tmp_path):
-    rc = main(["--threads", "0", "check-hol", str(tmp_path / "x")])
-    assert rc == 2
