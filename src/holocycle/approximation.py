@@ -32,7 +32,9 @@ from .chains import (
     PolygonDomain,
     cell_measure,
     chain_measure,
+    clip_polygon_halfspace,
     polygon_area,
+    polygon_edge_rows,
     reparameterize_mass_matched,
 )
 from .triangulation import TorusTriangulation, TransversalityError
@@ -58,20 +60,16 @@ class BaseMeasure:
     chart_points: np.ndarray  # (num_tops, q, d)
 
     def density(self, sim_index, v):
-        """rho_bar_k(x, v) for x in the sim_index-th simplex; v is (k, n, d)."""
-        v = np.asarray(v, float).reshape(-1, self.model.n, self.triangulation.torus.dim)
-        pts = self.chart_points[sim_index]
-        vals = np.stack([self.model(np.broadcast_to(p, (len(v), len(p))), v)
-                         for p in pts])
-        return vals.min(axis=0)
+        """rho_bar_k(x, v) for frames v of shape (k, n, d).
 
-    def infimum_profile(self, v):
-        """rho_bar over all simplices at a single frame v; shape (num_tops,)."""
-        v = np.asarray(v, float)
-        out = np.empty(len(self.chart_points))
-        for i in range(len(self.chart_points)):
-            out[i] = self.density(i, v[None])[0]
-        return out
+        sim_index is one top-simplex index for all k frames, or k indices,
+        one per frame.
+        """
+        v = np.asarray(v, float).reshape(-1, self.model.n, self.triangulation.torus.dim)
+        pts = np.broadcast_to(self.chart_points[sim_index],
+                              (len(v),) + self.chart_points.shape[1:])
+        vals = np.stack([self.model(pts[:, j], v) for j in range(pts.shape[1])])
+        return vals.min(axis=0)
 
 
 def base_measure(model: SmoothDensityModel, tri: TorusTriangulation,
@@ -144,7 +142,6 @@ class SampleSet:
     leaves: tuple         # of Leaf
     pieces: tuple         # of PieceRecord
     seed: int
-    requested: int        # per-simplex target
 
     __test__ = False
 
@@ -208,46 +205,6 @@ def _march_line(tri, anchor, v, length, t_start=0.0):
     return pieces
 
 
-def _clip_labeled(poly, labels, a, b, new_label):
-    """Sutherland-Hodgman step keeping a.t <= b, propagating edge labels."""
-    if len(poly) == 0:
-        return poly, labels
-    a = np.asarray(a, float)
-    vals = poly @ a - b
-    out, out_labels = [], []
-    k = len(poly)
-    for i in range(k):
-        p, q = poly[i], poly[(i + 1) % k]
-        fp, fq = vals[i], vals[(i + 1) % k]
-        lab = labels[i]
-        if fp <= 1e-13:
-            out.append(p)
-            out_labels.append(lab)
-            if fq > 1e-13 and fp < -1e-13:
-                tt = fp / (fp - fq)
-                out.append(p + tt * (q - p))
-                out_labels.append(new_label)
-        elif fq < -1e-13:
-            tt = fp / (fp - fq)
-            out.append(p + tt * (q - p))
-            out_labels.append(lab)
-    if not out:
-        return np.zeros((0, 2)), []
-    arr = np.array(out)
-    keep, keep_labels = [0], [out_labels[0]]
-    for i in range(1, len(arr)):
-        if np.linalg.norm(arr[i] - arr[keep[-1]]) > 1e-12:
-            keep.append(i)
-            keep_labels.append(out_labels[i])
-        else:
-            keep_labels[-1] = out_labels[i]
-    if len(keep) > 1 and np.linalg.norm(arr[keep[-1]] - arr[keep[0]]) <= 1e-12:
-        keep_labels[0] = keep_labels[-1] if keep_labels[-1][0] != "rim" else keep_labels[0]
-        keep.pop()
-        keep_labels.pop()
-    return arr[keep], keep_labels
-
-
 def _patch_pieces(tri, anchor, V, extent):
     """BFS decomposition of the plane patch along the (lifted) mesh."""
     (lo1, lo2), (hi1, hi2) = extent
@@ -267,23 +224,19 @@ def _patch_pieces(tri, anchor, V, extent):
         for j, (nu, p) in enumerate(halves):
             a_clip = -(V @ nu)
             b_clip = -float(nu @ (p + shift - anchor))
-            poly, labels = _clip_labeled(poly, labels, a_clip, b_clip,
-                                         ("face", face_keys[j]))
+            poly, labels = clip_polygon_halfspace(poly, a_clip, b_clip, labels,
+                                                  ("face", face_keys[j]))
             if len(poly) < 3:
                 break
         if len(poly) < 3 or polygon_area(poly) < 1e-14:
             continue
         pieces.append(PieceRecord(0, idx, tuple(shift), (poly, list(labels)),
                                   tuple(labels)))
-        for k in range(len(poly)):
+        for k, (outward, _) in enumerate(polygon_edge_rows(poly)):
             if labels[k][0] != "face":
                 continue
-            p, q = poly[k], poly[(k + 1) % len(poly)]
-            mid = 0.5 * (p + q)
-            edge = q - p
-            outward = np.array([edge[1], -edge[0]])  # right of ccw edge
-            outward /= np.linalg.norm(outward) + 1e-300
-            t_probe = mid + eps * outward
+            mid = 0.5 * (poly[k] + poly[(k + 1) % len(poly)])
+            t_probe = mid + eps * (outward / (np.linalg.norm(outward) + 1e-300))
             x_probe = anchor + t_probe @ V
             nb = _lift_of(tri, x_probe)
             key = (nb[0], tuple(nb[1]))
@@ -335,19 +288,22 @@ class _UniformFeed:
         return getattr(self._rng, name)
 
 
-def sample_cells(base: BaseMeasure, m, seed, leaf_extent=None, leaf_count=None,
-                 max_leaves=100_000, frame_jitter=1e-6):
+# size of the anchor and frame lattices; the lattice points depend on it, so
+# changing it changes every sample
+MAX_LEAVES = 100_000
+
+
+def sample_cells(base: BaseMeasure, seed, leaf_count, leaf_extent=None,
+                 frame_jitter=1e-6):
     """Leaf-stratified sampling of the base measure.
 
-    m is the per-simplex piece target; leaves are drawn until the total
-    piece count reaches m times the number of top simplices, or until
-    leaf_count leaves have been drawn when that is given (the leaf sequence
+    Leaves are drawn until leaf_count of them are kept (the leaf sequence
     for a fixed seed is nested across calls, so runs at successive levels
     share their common leaves).  leaf_extent is the leaf length (n = 1) or
     the patch side (n = 2).
     """
-    if m < 1:
-        raise InvalidInputError("need at least one sample per simplex")
+    if leaf_count < 1:
+        raise InvalidInputError("need at least one leaf")
     tri = base.triangulation
     model = base.model
     n = model.n
@@ -357,17 +313,15 @@ def sample_cells(base: BaseMeasure, m, seed, leaf_extent=None, leaf_count=None,
     if leaf_extent is None:
         leaf_extent = 4.0 if n == 1 else 1.0
     rng = np.random.default_rng(np.random.Philox(seed))
-    target = m * len(tri.top_simplices)
     leaves, pieces = [], []
-    anchors = _kronecker_lattice(max_leaves, d, rng)
+    anchors = _kronecker_lattice(MAX_LEAVES, d, rng)
     # stratified uniforms for the frame draws: the inverse-CDF sampler turns
     # these into a low-discrepancy sample of the v-marginal, so the frame
     # distribution of a k-leaf prefix converges like 1/k instead of 1/sqrt(k)
-    frame_u = _kronecker_lattice(max_leaves, n * d, rng)
+    frame_u = _kronecker_lattice(MAX_LEAVES, n * d, rng)
     x_const = model.x_constant
     g = 0
-    while ((len(leaves) < leaf_count) if leaf_count is not None
-           else (len(pieces) < target)) and g < max_leaves:
+    while len(leaves) < leaf_count and g < MAX_LEAVES:
         a = anchors[g]
         V = model.v_sampler(_UniformFeed(frame_u[g], rng), 1)[0]
         tries = 0
@@ -391,7 +345,8 @@ def sample_cells(base: BaseMeasure, m, seed, leaf_extent=None, leaf_count=None,
             ps = _patch_pieces(tri, a, V, extent)
         leaf_index = len(leaves)
         if not x_const:
-            rho = np.array([base.density(p.sim, V[None])[0] for p in ps])
+            rho = base.density([p.sim for p in ps],
+                               np.broadcast_to(V, (len(ps),) + V.shape))
             top = float(rho.max()) if len(rho) else 0.0
             if top <= 0:
                 g += 1
@@ -404,7 +359,7 @@ def sample_cells(base: BaseMeasure, m, seed, leaf_extent=None, leaf_count=None,
         g += 1
     if not pieces:
         raise InvalidInputError("sampling produced no cells")
-    return SampleSet(tri, base, tuple(leaves), tuple(pieces), seed, m)
+    return SampleSet(tri, base, tuple(leaves), tuple(pieces), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +504,8 @@ def _facet_geometry(rec, pos):
     poly = dom.polygon()
     a_v = poly[pos]
     b_v = poly[(pos + 1) % len(poly)]
-    edge = b_v - a_v
-    u = np.array([edge[1], -edge[0]])
-    u /= np.linalg.norm(u) + 1e-300
+    normal, _ = polygon_edge_rows(poly)[pos]
+    u = normal / (np.linalg.norm(normal) + 1e-300)
     c = float(u @ a_v)
     inradius = 0.25 * math.sqrt(abs(polygon_area(poly)))
     return u, c, inradius, (a_v, b_v)
@@ -992,7 +946,6 @@ def _link_loops(segments, decimals=9):
 class PipelineConfig:
     k_max: int = 3
     k_min: int = 1
-    samples: int = 4              # per-simplex piece target (fallback control)
     leaves: int = 4               # leaf count at k = k_min (doubles per level
                                   # for n = 1, fixed for n = 2)
     leaf_length: float = 3.0      # n=1 leaf length at k_min, grows ~sqrt(2)/level
@@ -1033,10 +986,7 @@ def _base_cloud(ref: DiscreteMeasure, base: BaseMeasure):
         return ref
     sims = np.array([tri.locate_index(x) for x in ref.x])
     rho = model(ref.x, ref.v)
-    rho_bar = np.empty(len(ref.w))
-    for s in np.unique(sims):
-        at = sims == s
-        rho_bar[at] = base.density(s, ref.v[at])
+    rho_bar = base.density(sims, ref.v)
     w = ref.w.copy()
     pos = rho > 1e-300
     w[pos] *= rho_bar[pos] / rho[pos]
@@ -1104,8 +1054,7 @@ def approximate(model: SmoothDensityModel, cfg: PipelineConfig = None,
             else:
                 extent = cfg.patch_size
             jitter = cfg.frame_jitter * 2.0 ** -(k - cfg.k_min)
-            samples = sample_cells(base, cfg.samples, cfg.seed,
-                                   leaf_extent=extent, leaf_count=count,
+            samples = sample_cells(base, cfg.seed, count, leaf_extent=extent,
                                    frame_jitter=jitter)
             stage = "cells"
             records = solve_cells(samples, nodes_per_unit=cfg.nodes_per_unit)

@@ -8,7 +8,6 @@ equals domain volume for affine maps.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,33 +21,51 @@ from .measures import DiscreteMeasure, hol_residual
 # convex polygon helpers (n = 2) and interval helpers (n = 1)
 # ---------------------------------------------------------------------------
 
-def clip_polygon_halfspace(vertices, a, b):
-    """Sutherland-Hodgman step: keep the part of the polygon with a.t <= b."""
-    if len(vertices) == 0:
-        return vertices
-    a = np.asarray(a, float)
-    vals = vertices @ a - b
-    out = []
+def clip_polygon_halfspace(vertices, a, b, labels=None, new_label=None):
+    """Sutherland-Hodgman step: keep the part of the polygon with a.t <= b.
+
+    labels, when given, holds one label per edge (edge i runs from vertex i
+    to vertex i + 1).  The surviving parts of an edge keep its label and the
+    edge cut along a.t = b gets new_label; where near-duplicate vertices
+    merge, the later edge's label wins, except that a ("rim",) label never
+    overrides at the wrap-around.  Returns the clipped vertices, or
+    (vertices, labels) when labels are given.
+    """
+    labeled = labels is not None
+    if not labeled:
+        labels = [None] * len(vertices)
+    out, out_labels = [], []
     k = len(vertices)
+    vals = vertices @ np.asarray(a, float) - b if k else []
     for i in range(k):
         p, q = vertices[i], vertices[(i + 1) % k]
         fp, fq = vals[i], vals[(i + 1) % k]
-        if fp <= 1e-14:
+        if fp <= 1e-13:
             out.append(p)
-        if (fp < -1e-14 and fq > 1e-14) or (fp > 1e-14 and fq < -1e-14):
-            t = fp / (fp - fq)
-            out.append(p + t * (q - p))
-    if not out:
-        return np.zeros((0, 2))
-    # drop near-duplicate consecutive vertices
-    arr = np.array(out)
-    keep = [0]
-    for i in range(1, len(arr)):
-        if np.linalg.norm(arr[i] - arr[keep[-1]]) > 1e-13:
-            keep.append(i)
-    if len(keep) > 1 and np.linalg.norm(arr[keep[-1]] - arr[keep[0]]) <= 1e-13:
-        keep.pop()
-    return arr[keep]
+            out_labels.append(labels[i])
+            if fq > 1e-13 and fp < -1e-13:
+                out.append(p + fp / (fp - fq) * (q - p))
+                out_labels.append(new_label)
+        elif fq < -1e-13:
+            out.append(p + fp / (fp - fq) * (q - p))
+            out_labels.append(labels[i])
+    poly, keep_labels = np.zeros((0, 2)), []
+    if out:
+        arr = np.array(out)
+        keep, keep_labels = [0], [out_labels[0]]
+        for i in range(1, len(arr)):
+            if np.linalg.norm(arr[i] - arr[keep[-1]]) > 1e-12:
+                keep.append(i)
+                keep_labels.append(out_labels[i])
+            else:
+                keep_labels[-1] = out_labels[i]
+        if len(keep) > 1 and np.linalg.norm(arr[keep[-1]] - arr[keep[0]]) <= 1e-12:
+            if keep_labels[-1] != ("rim",):
+                keep_labels[0] = keep_labels[-1]
+            keep.pop()
+            keep_labels.pop()
+        poly = arr[keep]
+    return (poly, keep_labels) if labeled else poly
 
 
 def polygon_area(vertices):
@@ -72,6 +89,26 @@ def ensure_ccw(vertices):
     return vertices if polygon_area(vertices) >= 0 else vertices[::-1].copy()
 
 
+def polygon_edge_rows(vertices):
+    """Half-spaces (a, b), a.t <= b, of a convex ccw polygon, one per edge.
+
+    a is the outward normal of the edge from vertex k to vertex k + 1,
+    as long as that edge.
+    """
+    rows = []
+    for k in range(len(vertices)):
+        e = vertices[(k + 1) % len(vertices)] - vertices[k]
+        a = np.array([e[1], -e[0]])
+        rows.append((a, float(a @ vertices[k])))
+    return rows
+
+
+def _box_rows(lo, hi):
+    eye = np.eye(len(lo))
+    return [row for j in range(len(lo))
+            for row in ((eye[j], hi[j]), (-eye[j], -lo[j]))]
+
+
 def clip_interval(lo, hi, halfspaces):
     """Intersect [lo, hi] with one-dimensional half-spaces a*t <= b."""
     for a, b in halfspaces:
@@ -90,6 +127,10 @@ def clip_interval(lo, hi, halfspaces):
 
 # ---------------------------------------------------------------------------
 # parameter domains
+#
+# Every n >= 1 domain is a convex polytope and answers inequalities(), its
+# half-spaces as a list of (a, b) with a.t <= b, and bounds(), the corners
+# (lo, hi) of a box that contains it.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -112,6 +153,12 @@ class Box:
 
     def interval(self):
         return self.lo[0], self.hi[0]
+
+    def inequalities(self):
+        return _box_rows(self.lo, self.hi)
+
+    def bounds(self):
+        return np.array(self.lo, float), np.array(self.hi, float)
 
     def polygon(self):
         (x0, y0), (x1, y1) = self.lo, self.hi
@@ -139,6 +186,16 @@ class SimplexDomain:
         v = np.array(self.vertices, float).reshape(-1)
         return min(v), max(v)
 
+    def inequalities(self):
+        if self.n == 1:
+            lo, hi = self.interval()
+            return _box_rows((lo,), (hi,))
+        return polygon_edge_rows(self.polygon())
+
+    def bounds(self):
+        v = np.array(self.vertices, float)
+        return v.min(axis=0), v.max(axis=0)
+
     def polygon(self):
         return ensure_ccw(np.array(self.vertices, float))
 
@@ -163,6 +220,13 @@ class ClippedBox:
         if iv is None:
             raise InvalidInputError("empty clipped domain")
         return iv
+
+    def inequalities(self):
+        return ([(np.array(a, float), b) for a, b in self.halfspaces]
+                + self.box.inequalities())
+
+    def bounds(self):
+        return self.box.bounds()
 
     def polygon(self):
         poly = self.box.polygon()
@@ -199,6 +263,13 @@ class PolygonDomain:
 
     def volume(self):
         return polygon_area(np.array(self.vertices, float))
+
+    def inequalities(self):
+        return polygon_edge_rows(self.polygon())
+
+    def bounds(self):
+        v = self.polygon()
+        return v.min(axis=0), v.max(axis=0)
 
     def polygon(self):
         return np.array(self.vertices, float)
@@ -629,12 +700,8 @@ def reparameterize_mass_matched(cell: Cell):
         else:
             box = Box((float(poly[:, 0].min()), float(poly[:, 1].min())),
                       (float(poly[:, 0].max()), float(poly[:, 1].max())))
-            hs = []
-            for k in range(len(cc)):
-                e = cc[(k + 1) % len(cc)] - cc[k]
-                normal = np.array([e[1], -e[0]])
-                hs.append((tuple(normal), float(normal @ cc[k])))
-            dom = ClippedBox(box, tuple(hs))
+            dom = ClippedBox(box, tuple((tuple(a), b)
+                                        for a, b in polygon_edge_rows(cc)))
         return Cell(cell.torus, dom, AffineMap(cell.map.x0, new_V), cell.resolution)
     raise InvalidInputError("reparameterization implemented for n <= 2")
 
@@ -660,13 +727,3 @@ def chain_from_dict(data):
                       Cell(torus, domain_from_dict(rec["domain"]),
                            map_from_dict(rec["map"]), rec["resolution"])))
     return Chain(tuple(cells))
-
-
-def write_chain(alpha: Chain, path):
-    with open(path, "w") as fh:
-        json.dump(chain_to_dict(alpha), fh, indent=1)
-
-
-def read_chain(path):
-    with open(path) as fh:
-        return chain_from_dict(json.load(fh))

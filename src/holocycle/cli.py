@@ -19,12 +19,12 @@ from .geometry import (
     FlatTorus,
     InvalidInputError,
     TrigPolynomial,
-    form_basis,
 )
 from .chains import ExprMap, chain_measure, chain_to_dict
 from .measures import (
     DiscreteMeasure,
     SmoothDensityModel,
+    exact_form_pairings,
     read_measure,
     velocity_bump_model,
     write_measure,
@@ -84,13 +84,6 @@ def fields_from_file(path):
         tuple(trig_from_dict({"dim": d, **comp}) for comp in field)
         for field in data["fields"])
     return VectorFieldSet(FlatTorus(d), fields)
-
-
-def fields_to_file(fs: VectorFieldSet, path):
-    data = {"dim": fs.torus.dim,
-            "fields": [[trig_to_dict(c) for c in f] for f in fs.fields]}
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=1)
 
 
 def rho_from_file(path):
@@ -165,10 +158,7 @@ def cmd_check_hol(args):
         return EXIT_OK
     worst = 0.0
     print("# form_index pairing normalized")
-    for i, omega in enumerate(form_basis(mu.torus, mu.n - 1, args.cutoff)):
-        d_omega = omega.exterior_derivative()
-        val = mu.pair(d_omega)
-        normalized = abs(val) / (1.0 + d_omega.sup_bound())
+    for i, (val, normalized) in enumerate(exact_form_pairings(mu, args.cutoff)):
         worst = max(worst, normalized)
         print("%d %.17g %.17g" % (i, val, normalized))
     print("# max_residual %.17g" % worst)
@@ -226,7 +216,7 @@ def pipeline_config_from(cp, seed_override=None):
     kwargs = {}
     if cp.has_section("pipeline"):
         sec = cp["pipeline"]
-        for key in ("k_max", "k_min", "samples", "leaves", "hol_cutoff",
+        for key in ("k_max", "k_min", "leaves", "hol_cutoff",
                     "dist_truncation", "reference_x_res",
                     "reference_v_samples", "seed"):
             if key in sec:

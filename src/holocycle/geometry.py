@@ -309,10 +309,6 @@ class DifferentialForm:
         return cls(torus, degree)
 
     @classmethod
-    def from_function(cls, torus, a: TrigPolynomial):
-        return cls(torus, 0, {(): a})
-
-    @classmethod
     def monomial(cls, torus, a: TrigPolynomial, index_set):
         return cls(torus, len(index_set), {tuple(index_set): a})
 

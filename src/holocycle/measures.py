@@ -59,18 +59,6 @@ class DiscreteMeasure:
                    np.zeros(0), positive)
 
     @classmethod
-    def from_atoms(cls, atoms, positive=True):
-        """atoms: iterable of (TangentTuple, weight)."""
-        atoms = list(atoms)
-        if not atoms:
-            raise InvalidInputError("use DiscreteMeasure.empty for the empty measure")
-        t0 = atoms[0][0]
-        x = np.array([t.x for t, _ in atoms])
-        v = np.array([t.v for t, _ in atoms])
-        w = np.array([float(wt) for _, wt in atoms])
-        return cls(t0.torus, t0.n, x, v, w, positive)
-
-    @classmethod
     def concatenate(cls, parts):
         parts = [p for p in parts if len(p.w)]
         if not parts:
@@ -215,6 +203,18 @@ def dist(mu1: DiscreteMeasure, mu2: DiscreteMeasure, family: TestFamily, truncat
     return total
 
 
+def exact_form_pairings(mu: DiscreteMeasure, cutoff):
+    """(pairing, normalized pairing) of mu with d(omega), per basis form.
+
+    omega runs over the (n-1)-form basis up to the frequency cutoff; the
+    normalized pairing is |<mu, d omega>| / (1 + sup |d omega|).
+    """
+    for omega in form_basis(mu.torus, mu.n - 1, cutoff):
+        dw = omega.exterior_derivative()
+        val = mu.pair(dw)
+        yield val, abs(val) / (1.0 + dw.sup_bound())
+
+
 def hol_residual(mu: DiscreteMeasure, cutoff):
     """Largest normalized pairing against exact n-forms from the test basis.
 
@@ -224,10 +224,8 @@ def hol_residual(mu: DiscreteMeasure, cutoff):
     if mu.n > mu.torus.dim:
         raise InvalidInputError("more vectors than the torus dimension")
     worst = 0.0
-    for omega in form_basis(mu.torus, mu.n - 1, cutoff):
-        dw = omega.exterior_derivative()
-        val = abs(mu.pair(dw)) / (1.0 + dw.sup_bound())
-        worst = max(worst, val)
+    for _, normalized in exact_form_pairings(mu, cutoff):
+        worst = max(worst, normalized)
     return worst
 
 

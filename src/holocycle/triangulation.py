@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import FlatTorus, InvalidInputError
-from .chains import Chain, clip_interval
+from .chains import AffineMap, Chain, clip_interval
 from .measures import DiscreteMeasure
 
 
@@ -78,19 +78,6 @@ class Simplex:
         lam = np.linalg.solve((v[1:] - v[0]).T, np.asarray(x, float) - v[0])
         return lam.min() >= -tol and lam.sum() <= 1 + tol
 
-    def halfspaces(self):
-        """Inequalities n.(x - p) >= 0 characterizing the simplex interior.
-
-        Only valid for top-dimensional simplices (dim == ambient dim).
-        """
-        out = []
-        v = self.array()
-        for j in range(len(v)):
-            rest = np.delete(v, j, axis=0)
-            normal, point = _facet_normal(rest, v[j])
-            out.append((normal, point))
-        return out
-
 
 def _facet_normal(facet_vertices, inward_vertex):
     """Unit normal of the hyperplane through the facet, oriented inward."""
@@ -131,20 +118,10 @@ class TorusTriangulation:
 
     # -- construction -------------------------------------------------
     def _build_tops(self):
-        d = self.torus.dim
         res = 1 << self.level
-        tops = []
-        for cube in itertools.product(range(res), repeat=d):
-            base = np.array(cube, float) * self.h
-            for perm in self._perm_index:
-                verts = [tuple(base)]
-                cur = base.copy()
-                for axis in perm:
-                    cur = cur.copy()
-                    cur[axis] += self.h
-                    verts.append(tuple(cur))
-                tops.append(Simplex(self.level, tuple(verts)))
-        return tops
+        return [Simplex(self.level, _kuhn_vertices(np.array(cube), perm, self.h))
+                for cube in itertools.product(range(res), repeat=self.torus.dim)
+                for perm in self._perm_index]
 
     def _check_invariants(self):
         d = self.torus.dim
@@ -188,20 +165,21 @@ class TorusTriangulation:
     def locate_index(self, x):
         """Index of the containing top simplex in top_simplices order."""
         res = 1 << self.level
-        x = self.torus.wrap(np.asarray(x, float))
-        cube = np.minimum((x * res).astype(int), res - 1)
-        frac = x * res - cube
-        perm = tuple(np.argsort(-frac, kind="stable"))
+        cube, perm = _kuhn_cell(self.torus, self.level, x)
         cube_index = 0
         for c in cube:
             cube_index = cube_index * res + int(c)
-        return cube_index * len(self._perm_index) + self._perm_index[perm]
+        return cube_index * len(self._perm_index) + self._perm_index[tuple(perm)]
 
     def top_halfspaces(self, idx):
-        """(half-spaces, facet keys) of the idx-th top simplex, cached."""
+        """(half-spaces, facet keys) of the idx-th top simplex, cached.
+
+        The half-spaces are the facet pieces (inward unit normal, base
+        point) of the simplex, in drop-vertex order like its facets.
+        """
         if idx not in self._halfspaces:
             top = self._tops[idx]
-            self._halfspaces[idx] = (top.halfspaces(),
+            self._halfspaces[idx] = (facet_pieces(top)[0],
                                      [f.key() for f in top.facets()])
         return self._halfspaces[idx]
 
@@ -289,21 +267,31 @@ def _nearest_representative(x, anchor):
     return x - np.round(x - anchor)
 
 
-def locate_simplex(torus, level, x):
-    """The level-`level` Kuhn simplex containing x (ties broken by sort order)."""
+def _kuhn_cell(torus, level, x):
+    """(grid cube, axis permutation) of the Kuhn simplex containing x."""
     res = 1 << level
-    h = 2.0 ** -level
     xw = torus.wrap(np.asarray(x, float))
     cube = np.minimum((xw * res).astype(int), res - 1)
     frac = xw * res - cube
-    perm = np.argsort(-frac, kind="stable")
-    verts = [tuple(cube * h)]
+    return cube, np.argsort(-frac, kind="stable")
+
+
+def _kuhn_vertices(cube, perm, h):
+    """Vertices of a Kuhn simplex: from the cube's low corner, step h along
+    each axis of perm in turn."""
     cur = cube * h
+    verts = [tuple(cur)]
     for axis in perm:
         cur = cur.copy()
         cur[axis] += h
         verts.append(tuple(cur))
-    return Simplex(level, tuple(verts))
+    return tuple(verts)
+
+
+def locate_simplex(torus, level, x):
+    """The level-`level` Kuhn simplex containing x (ties broken by sort order)."""
+    cube, perm = _kuhn_cell(torus, level, x)
+    return Simplex(level, _kuhn_vertices(cube, perm, 2.0 ** -level))
 
 
 # ---------------------------------------------------------------------------
@@ -406,31 +394,16 @@ def _bump_quadrature(q):
 # slice measures and boundary balance
 # ---------------------------------------------------------------------------
 
-def _domain_bbox(domain):
-    from .chains import Box, ClippedBox, SimplexDomain
-
-    if isinstance(domain, Box):
-        return np.array(domain.lo, float), np.array(domain.hi, float)
-    if isinstance(domain, ClippedBox):
-        return _domain_bbox(domain.box)
-    if isinstance(domain, SimplexDomain):
-        v = np.array(domain.vertices, float)
-        return v.min(axis=0), v.max(axis=0)
-    raise InvalidInputError("unsupported domain for slicing")
-
-
 def _cell_shifts(cell, simplex):
     """Integer translates of an affine cell whose image can meet the simplex.
 
     Long cells (closed geodesics) wrap around the torus and may cross the
     same face several times under different lifts.
     """
-    from .chains import AffineMap
-
     if not isinstance(cell.map, AffineMap):
         raise InvalidInputError("exact slicing needs affine cells")
     x0, V = cell.map.x0, cell.map.V
-    tlo, thi = _domain_bbox(cell.domain)
+    tlo, thi = cell.domain.bounds()
     corners = np.array(list(itertools.product(*zip(tlo, thi))))
     img = x0[None] + corners @ V
     ilo, ihi = img.min(axis=0), img.max(axis=0)
@@ -441,24 +414,6 @@ def _cell_shifts(cell, simplex):
               for a in range(len(x0))]
     for z in itertools.product(*ranges):
         yield x0 + np.array(z, float), V
-
-
-def _domain_contains(domain, t, tol=1e-9):
-    from .chains import Box, ClippedBox, SimplexDomain
-
-    t = np.asarray(t, float)
-    if isinstance(domain, Box):
-        return bool(np.all(t >= np.array(domain.lo) - tol)
-                    and np.all(t <= np.array(domain.hi) + tol))
-    if isinstance(domain, ClippedBox):
-        if not _domain_contains(domain.box, t, tol):
-            return False
-        return all(np.array(a) @ t <= b + tol for a, b in domain.halfspaces)
-    if isinstance(domain, SimplexDomain):
-        v = np.array(domain.vertices, float)
-        lam = np.linalg.solve((v[1:] - v[0]).T, t - v[0])
-        return lam.min() >= -tol and lam.sum() <= 1 + tol
-    raise InvalidInputError("unsupported domain for slicing")
 
 
 def _facet_index(parent, child):
@@ -487,6 +442,7 @@ def _slice_cell_points(cell, coeff, C, torus, cond_tol=1e-6):
         band_facets.append(C[i].facets()[fi])
     last_pieces, _ = facet_pieces(C[-1])
     last_facets = C[-1].facets()
+    domain_rows = cell.domain.inequalities()
     out = []
     for x0, V in _cell_shifts(cell, C[0]):
         n = V.shape[0]
@@ -504,7 +460,7 @@ def _slice_cell_points(cell, coeff, C, torus, cond_tol=1e-6):
             if abs(det) <= cond_tol * scale:
                 continue
             t = np.linalg.solve(A, b)
-            if not _domain_contains(cell.domain, t):
+            if any(a @ t > bound + 1e-9 for a, bound in domain_rows):
                 continue
             xt = x0 + t @ V
             # membership is checked against the facet's own collar pieces in
@@ -536,19 +492,19 @@ def _slice_cell_trace(cell, coeff, C, torus, resolution=8, cond_tol=1e-6):
         raise InvalidInputError("trace slicing implemented for n=2, length-1 C")
     pieces, _ = facet_pieces(C[0])
     facets = C[0].facets()
+    domain_rows = cell.domain.inequalities()
     out = []
     for x0, V in _cell_shifts(cell, C[0]):
         n = V.shape[0]
         if n != 2:
             raise InvalidInputError("trace slicing implemented for n=2 cells")
-        out.extend(_trace_pieces(cell, coeff, x0, V, pieces, facets, torus,
-                                 resolution, cond_tol))
+        out.extend(_trace_pieces(coeff, x0, V, domain_rows, pieces, facets,
+                                 torus, resolution, cond_tol))
     return out
 
 
-def _trace_pieces(cell, coeff, x0, V, pieces, facets, torus, resolution, cond_tol):
-    from .chains import Box, ClippedBox
-
+def _trace_pieces(coeff, x0, V, domain_rows, pieces, facets, torus, resolution,
+                  cond_tol):
     out = []
     for ci, (normal, point) in enumerate(pieces):
         a = V @ normal
@@ -559,35 +515,13 @@ def _trace_pieces(cell, coeff, x0, V, pieces, facets, torus, resolution, cond_to
         # the line a.t = b inside the domain, within the active region of u
         tp = a * (b / (a @ a))
         dvec = np.array([-a[1], a[0]]) / norm_a
-        lo, hi = -10.0, 10.0
-        halfspaces = []
-        dom = cell.domain
-        if isinstance(dom, ClippedBox):
-            halfspaces += [(np.array(h[0], float), h[1]) for h in dom.halfspaces]
-            box = dom.box
-        elif isinstance(dom, Box):
-            box = dom
-        else:
-            poly = dom.polygon()
-            box = None
-            for k in range(len(poly)):
-                e = poly[(k + 1) % len(poly)] - poly[k]
-                nn = np.array([e[1], -e[0]])
-                halfspaces.append((nn, float(nn @ poly[k])))
-        if box is not None:
-            for j in range(2):
-                e = np.zeros(2); e[j] = 1.0
-                halfspaces.append((e, box.hi[j]))
-                halfspaces.append((-e, -box.lo[j]))
         # restrict to the band of this facet: on the facet plane the band is
-        # the facet itself, so its own collar inequalities bound the trace
+        # the facet itself, so its own collar inequalities bound the trace;
+        # (x0 + tV - pp) . nn >= 0  ->  -(V nn).t <= (x0 - pp).nn
         band_pieces, _ = facet_pieces(facets[ci])
-        for nn, pp in band_pieces:
-            # (x0 + tV - pp) . nn >= 0  ->  -(V nn).t <= (x0 - pp).nn
-            halfspaces.append((-(V @ nn), float((x0 - pp) @ nn)))
-        one_d = [((np.asarray(h[0]) @ dvec,), h[1] - np.asarray(h[0]) @ tp)
-                 for h in halfspaces]
-        iv = clip_interval(lo, hi, [(np.array(a1), b1) for a1, b1 in one_d])
+        rows = domain_rows + [(-(V @ nn), float((x0 - pp) @ nn))
+                              for nn, pp in band_pieces]
+        iv = clip_interval(-10.0, 10.0, [(r @ dvec, rb - r @ tp) for r, rb in rows])
         if iv is None:
             continue
         s0, s1 = iv

@@ -65,7 +65,9 @@ def test_base_measure_x_constant_is_exact():
     base = base_measure(model, tri)
     v = np.array([[[1.0, GOLDEN]]])
     rho = model(np.zeros((1, 2)), v)[0]
-    prof = base.infimum_profile(v[0])
+    tops = len(tri.top_simplices)
+    prof = base.density(np.arange(tops), np.broadcast_to(v, (tops, 1, 2)))
+    assert prof.shape == (tops,)
     assert np.allclose(prof, rho)
 
 
@@ -191,9 +193,9 @@ def test_patch_edge_labels_cover_boundary():
 def test_sampling_is_deterministic_and_nested():
     model = line_model()
     base = base_measure(model, TorusTriangulation(T2, 2))
-    s1 = sample_cells(base, 1, seed=7, leaf_extent=2.0, leaf_count=2)
-    s2 = sample_cells(base, 1, seed=7, leaf_extent=2.0, leaf_count=4)
-    s3 = sample_cells(base, 1, seed=7, leaf_extent=2.0, leaf_count=4)
+    s1 = sample_cells(base, seed=7, leaf_extent=2.0, leaf_count=2)
+    s2 = sample_cells(base, seed=7, leaf_extent=2.0, leaf_count=4)
+    s3 = sample_cells(base, seed=7, leaf_extent=2.0, leaf_count=4)
     for a, b in zip(s1.leaves, s2.leaves):
         assert np.array_equal(a.anchor, b.anchor)
         assert np.array_equal(a.frame, b.frame)
@@ -206,13 +208,13 @@ def test_sampling_requires_v_sampler():
                                x_constant=True)
     base = base_measure(model, TorusTriangulation(T2, 1))
     with pytest.raises(InvalidInputError):
-        sample_cells(base, 1, seed=0)
+        sample_cells(base, seed=0, leaf_count=1)
 
 
 def test_sample_validation():
     base = base_measure(line_model(), TorusTriangulation(T2, 1))
     with pytest.raises(InvalidInputError):
-        sample_cells(base, 0, seed=0)
+        sample_cells(base, seed=0, leaf_count=0)
 
 
 # -- assembly ----------------------------------------------------------
@@ -221,7 +223,7 @@ def pipeline_records(model, level=2, leaf_count=3, extent=2.0, seed=3):
     tri = TorusTriangulation(T2, level) if model.torus.dim == 2 else \
         TorusTriangulation(T3, level)
     base = base_measure(model, tri)
-    samples = sample_cells(base, 1, seed=seed, leaf_extent=extent,
+    samples = sample_cells(base, seed=seed, leaf_extent=extent,
                            leaf_count=leaf_count)
     records = solve_cells(samples, nodes_per_unit=16.0)
     return tri, samples, records
@@ -384,7 +386,7 @@ def test_close_up_wrapping_patch_uses_cylinder_fills():
     model = plane_model()
     tri = TorusTriangulation(T3, 1)
     base = base_measure(model, tri)
-    samples = sample_cells(base, 1, seed=0, leaf_extent=1.0, leaf_count=1,
+    samples = sample_cells(base, seed=0, leaf_extent=1.0, leaf_count=1,
                            frame_jitter=1e-4)
     records = solve_cells(samples, nodes_per_unit=8.0)
     pairing = pair_cells(records, tri)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holocycle.geometry import FlatTorus, InvalidInputError
-from holocycle.chains import AffineMap, Box, Cell, Chain, cell_measure
+from holocycle.chains import AffineMap, Box, Cell, Chain, PolygonDomain, cell_measure
 from holocycle.triangulation import (
     Simplex,
     TorusTriangulation,
@@ -254,6 +254,26 @@ def test_trace_slice_of_closed_sheet_has_unit_order_mass():
     # normalized trace mass 2 * area (each point lies in the band of the
     # facet pieces of exactly two facets on average)
     assert total > 1.0
+
+
+def test_polygon_cell_slices_like_equal_box_cell():
+    # every n = 2 pipeline cell has a PolygonDomain; a unit-square one must
+    # slice like the Box cell over the same square
+    amap = AffineMap([0.30, 0.30, 0.25], 0.4 * np.array([[1, 0, 0], [0, 1, 0]]))
+    square = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+    box = Chain(((1.0, Cell(T3, Box((0.0, 0.0), (1.0, 1.0)), amap, 8)),))
+    poly = Chain(((1.0, Cell(T3, PolygonDomain(square), amap, 8)),))
+    balances = [(boundary_balance(poly, nc), boundary_balance(box, nc))
+                for nc in TRI3.nested_chains(2)]
+    assert any(abs(want) > 1.0 for _, want in balances)
+    for got, want in balances:
+        assert got == pytest.approx(want, abs=1e-12)
+    masses = [(slice_measure(poly, (tp,), T3).total_mass(),
+               slice_measure(box, (tp,), T3).total_mass())
+              for tp in TRI3.top_simplices]
+    assert sum(want for _, want in masses) > 0.0
+    for got, want in masses:
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_atom_cloud_balance_extrapolates_to_exact():
