@@ -28,8 +28,10 @@ from .chains import (
     Cell,
     Chain,
     ComposedAffineParam,
+    ConeMap,
     GluedMap,
     PolygonDomain,
+    ShiftedCurve,
     cell_measure,
     chain_measure,
     clip_polygon_halfspace,
@@ -616,31 +618,6 @@ def assemble_beta(records):
 # isoperimetric fillings
 # ---------------------------------------------------------------------------
 
-class ConeMap:
-    """(t, s) -> apex + s (gamma(t) - apex) over the unit square."""
-
-    def __init__(self, curve, apex):
-        self.curve = curve
-        self.apex = np.asarray(apex, float)
-
-    def __call__(self, ts):
-        ts = np.atleast_2d(np.asarray(ts, float))
-        g = self.curve(ts[:, :1])
-        return self.apex[None] + ts[:, 1:2] * (g - self.apex[None])
-
-    def jacobian(self, ts):
-        ts = np.atleast_2d(np.asarray(ts, float))
-        g = self.curve(ts[:, :1])
-        jg = self.curve.jacobian(ts[:, :1])  # (k, 1, d)
-        jt = ts[:, 1:2, None] * jg
-        js = (g - self.apex[None])[:, None, :]
-        return np.concatenate([jt, js], axis=1)
-
-    def to_dict(self):
-        return {"type": "cone", "apex": list(self.apex),
-                "curve": self.curve.to_dict()}
-
-
 def _segment_cell(torus, a, b, resolution=4):
     """Unit-speed straight segment from a to b along the short representative."""
     disp = np.asarray(b, float) - np.asarray(a, float)
@@ -713,7 +690,7 @@ def isoperimetric_fill(theta: Chain, m, apex=None, tol=1e-9):
     perimeter = 0.0
     diam = 0.0
     for a, cell in theta.terms:
-        cone = ConeMap(_ShiftedCurve(cell.map, apex), apex)
+        cone = ConeMap(ShiftedCurve(cell.map, apex), apex)
         res = 1 << max(1, int(math.ceil(math.log2(cell.resolution + 1))))
         # the ccw square boundary traverses the curve edge reversed, so the
         # fill needs the opposite coefficient for d(sigma) = theta
@@ -726,25 +703,6 @@ def isoperimetric_fill(theta: Chain, m, apex=None, tol=1e-9):
     constant = mass / max(perimeter ** 2, 1e-300)
     return Chain(tuple(fills)), {"mass": mass, "boundary_mass": perimeter,
                                  "constant": constant, "diam": diam}
-
-
-class _ShiftedCurve:
-    """Curve map re-lifted so its image stays near the apex representative."""
-
-    def __init__(self, base, apex):
-        self.base = base
-        self.apex = np.asarray(apex, float)
-
-    def __call__(self, t):
-        out = self.base(t)
-        return out - np.round(out - self.apex[None])
-
-    def jacobian(self, t):
-        return self.base.jacobian(t)
-
-    def to_dict(self):
-        return {"type": "shifted", "apex": list(self.apex),
-                "base": self.base.to_dict()}
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +828,7 @@ def close_up(beta: Chain, records, tri, connector_resolution=6, leaves=None):
             apex = apex - np.round(apex - 0.5 * (p0 + p1))
             emap = ComposedAffineParam(rec.cell.map, (b_v - a_v).reshape(1, 2),
                                        a_v)
-            cone = ConeMap(_ShiftedCurve(emap, apex), apex)
+            cone = ConeMap(ShiftedCurve(emap, apex), apex)
             res = 1 << max(1, int(math.ceil(math.log2(max(
                 2, rec.cell.resolution // 2)))))
             cell = Cell(torus, Box((0.0, 0.0), (1.0, 1.0)), cone, res)
@@ -894,7 +852,7 @@ def close_up(beta: Chain, records, tri, connector_resolution=6, leaves=None):
             seg, length = _segment_cell(torus, a, b, 4)
             if seg is None:
                 continue
-            cmap = ConeMap(_ShiftedCurve(seg.map, centroid), centroid)
+            cmap = ConeMap(ShiftedCurve(seg.map, centroid), centroid)
             cell = Cell(torus, Box((0.0, 0.0), (length, 1.0)), cmap, 4)
             extra.append((coeff, cell))
     eta = Chain(beta.terms + tuple(extra))
@@ -953,23 +911,25 @@ class PipelineConfig:
     seed: int = 0
     frame_jitter: float = 1e-6    # A2 nudge scale at k_min (halves per level)
     nodes_per_unit: float = 64.0  # quadrature subintervals per unit length
-    hol_cutoff: int = 2
-    dist_truncation: int = 16
-    reference_x_res: int = 8
-    reference_v_samples: int = 64
     lagrangians: dict = field(default_factory=dict)
+
+
+HOL_CUTOFF = 2            # Fourier cutoff of the reported hol_residual
+DIST_TRUNCATION = 16      # test-function truncation of the reported dists
+REFERENCE_X_RES = 8       # reference cloud: grid points per axis
+REFERENCE_V_SAMPLES = 64  # reference cloud: velocity samples per grid point
 
 
 def _reference_cloud(model: SmoothDensityModel, cfg: PipelineConfig):
     """Deterministic atom cloud of the input measure for distance reporting."""
     rng = np.random.default_rng(np.random.Philox(cfg.seed + 104729))
     d = model.torus.dim
-    res = cfg.reference_x_res
+    res = REFERENCE_X_RES
     xs = np.stack(np.meshgrid(*([(np.arange(res) + 0.5) / res] * d),
                               indexing="ij"), axis=-1).reshape(-1, d)
     if model.v_sampler is None:
         raise InvalidInputError("reference cloud needs a v_sampler")
-    K = cfg.reference_v_samples
+    K = REFERENCE_V_SAMPLES
     u = _kronecker_lattice(K, model.n * d, rng)
     vs = model.v_sampler(_UniformFeed(u, rng), K)
     x_all = np.repeat(xs, K, axis=0)
@@ -984,7 +944,9 @@ def _base_cloud(ref: DiscreteMeasure, base: BaseMeasure):
     model = base.model
     if model.x_constant:
         return ref
-    sims = np.array([tri.locate_index(x) for x in ref.x])
+    # the reference atoms repeat each grid point, so locate the points once
+    xs, inverse = np.unique(ref.x, axis=0, return_inverse=True)
+    sims = np.array([tri.locate_index(x) for x in xs])[inverse.reshape(-1)]
     rho = model(ref.x, ref.v)
     rho_bar = base.density(sims, ref.v)
     w = ref.w.copy()
@@ -1082,16 +1044,16 @@ def approximate(model: SmoothDensityModel, cfg: PipelineConfig = None,
             "leaves": len(samples.leaves),
             "Z": Z,
             "unpaired_ratio": pairing.unpaired_ratio,
-            "dist_mu_base": dist(ref, base_cloud, family, cfg.dist_truncation),
-            "dist_base_beta": dist(base_cloud, mu_beta, family, cfg.dist_truncation),
-            "dist_beta_eta": dist(mu_beta, mu_eta, family, cfg.dist_truncation),
-            "dist_mu_eta": dist(ref, mu_eta, family, cfg.dist_truncation),
+            "dist_mu_base": dist(ref, base_cloud, family, DIST_TRUNCATION),
+            "dist_base_beta": dist(base_cloud, mu_beta, family, DIST_TRUNCATION),
+            "dist_beta_eta": dist(mu_beta, mu_eta, family, DIST_TRUNCATION),
+            "dist_mu_eta": dist(ref, mu_eta, family, DIST_TRUNCATION),
             "mass_beta": mu_beta.mass(),
             "mass_eta": mu_eta_raw.mass(),
             # total-variation reading: the closing material can only add mass
             "mass_gap": hierarchy["connector_mass"] + hierarchy["fill_mass"],
             "total_mass_gap": abs(mu_eta_raw.total_mass() - mu_beta.total_mass()),
-            "hol_residual": hol_residual(mu_eta, cfg.hol_cutoff),
+            "hol_residual": hol_residual(mu_eta, HOL_CUTOFF),
             "connector_mass": hierarchy["connector_mass"],
             "fill_mass": hierarchy["fill_mass"],
             "rotation": [float(t) for t in

@@ -471,6 +471,50 @@ class GluedMap:
                             for k, v in bl.items()} for bl in self.blends]}
 
 
+class ConeMap:
+    """(t, s) -> apex + s (gamma(t) - apex) over the unit square."""
+
+    def __init__(self, curve, apex):
+        self.curve = curve
+        self.apex = np.asarray(apex, float)
+
+    def __call__(self, ts):
+        ts = np.atleast_2d(np.asarray(ts, float))
+        g = self.curve(ts[:, :1])
+        return self.apex[None] + ts[:, 1:2] * (g - self.apex[None])
+
+    def jacobian(self, ts):
+        ts = np.atleast_2d(np.asarray(ts, float))
+        g = self.curve(ts[:, :1])
+        jg = self.curve.jacobian(ts[:, :1])  # (k, 1, d)
+        jt = ts[:, 1:2, None] * jg
+        js = (g - self.apex[None])[:, None, :]
+        return np.concatenate([jt, js], axis=1)
+
+    def to_dict(self):
+        return {"type": "cone", "apex": list(self.apex),
+                "curve": self.curve.to_dict()}
+
+
+class ShiftedCurve:
+    """Curve map re-lifted so its image stays near the apex representative."""
+
+    def __init__(self, base, apex):
+        self.base = base
+        self.apex = np.asarray(apex, float)
+
+    def __call__(self, t):
+        out = self.base(t)
+        return out - np.round(out - self.apex[None])
+
+    def jacobian(self, t):
+        return self.base.jacobian(t)
+
+    def to_dict(self):
+        return {"type": "shifted", "apex": list(self.apex),
+                "base": self.base.to_dict()}
+
+
 def map_from_dict(data):
     t = data["type"]
     if t == "affine":
@@ -487,6 +531,10 @@ def map_from_dict(data):
                    "dpJ": np.array(bl["dpJ"], float),
                    "dn": np.array(bl["dn"], float)} for bl in data["blends"]]
         return GluedMap(map_from_dict(data["base"]), blends)
+    if t == "cone":
+        return ConeMap(map_from_dict(data["curve"]), data["apex"])
+    if t == "shifted":
+        return ShiftedCurve(map_from_dict(data["base"]), data["apex"])
     raise InvalidInputError(f"unknown map type {t!r}")
 
 

@@ -212,19 +212,18 @@ def model_from_config(cp):
     raise InvalidInputError(f"unknown density type {kind!r}")
 
 
+PIPELINE_KEYS = {"k_max": int, "k_min": int, "leaves": int, "seed": int,
+                 "leaf_length": float, "patch_size": float,
+                 "frame_jitter": float, "nodes_per_unit": float}
+
+
 def pipeline_config_from(cp, seed_override=None):
     kwargs = {}
     if cp.has_section("pipeline"):
-        sec = cp["pipeline"]
-        for key in ("k_max", "k_min", "leaves", "hol_cutoff",
-                    "dist_truncation", "reference_x_res",
-                    "reference_v_samples", "seed"):
-            if key in sec:
-                kwargs[key] = sec.getint(key)
-        for key in ("leaf_length", "patch_size", "frame_jitter",
-                    "nodes_per_unit"):
-            if key in sec:
-                kwargs[key] = sec.getfloat(key)
+        for key, value in cp["pipeline"].items():
+            if key not in PIPELINE_KEYS:
+                raise InvalidInputError(f"unknown [pipeline] key {key!r}")
+            kwargs[key] = PIPELINE_KEYS[key](value)
     if seed_override is not None:
         kwargs["seed"] = seed_override
     lagrangians = {}

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    TWO_PI,
     FlatTorus,
     InvalidInputError,
     TrigPolynomial,
@@ -116,12 +117,11 @@ class DensityCandidate:
 def _wedge_minor(X: VectorFieldSet, rows):
     """dx_{rows}(X_1, ..., X_n) as a trig polynomial (Laplace expansion)."""
     n = X.n
+    out = TrigPolynomial.constant(X.torus.dim, 0.0)
     if len(set(rows)) < n:
-        return TrigPolynomial.constant(X.torus.dim, 0.0)
-    zero = TrigPolynomial.constant(X.torus.dim, 0.0)
+        return out
     if n == 1:
         return X.fields[0][rows[0]]
-    out = zero
     for a, perm_sign in _permanent_signs(n):
         term = TrigPolynomial.constant(X.torus.dim, perm_sign)
         for b in range(n):
@@ -140,10 +140,17 @@ def _permanent_signs(n):
         yield perm, sign
 
 
-def _divergence_terms(X: VectorFieldSet, index_set):
-    """The minors dx_i ^ dx_I (X_1..X_n) for i = 1..d, as trig polynomials."""
+def _divergence_terms(X: VectorFieldSet, pts):
+    """Per (n-1)-index set I: the minors g_i = dx_i ^ dx_I (X_1..X_n) on
+    pts, (k, d), and div g, (k,); then div(rho g) = grad rho . g + rho div g.
+    """
     d = X.torus.dim
-    return [_wedge_minor(X, (i,) + tuple(index_set)) for i in range(d)]
+    out = []
+    for I in itertools.combinations(range(d), X.n - 1):
+        minors = [_wedge_minor(X, (i,) + I) for i in range(d)]
+        out.append((np.stack([g(pts) for g in minors], axis=1),
+                    sum(g.partial(i)(pts) for i, g in enumerate(minors))))
+    return out
 
 
 def frobenius_residual(X: VectorFieldSet, rho: DensityCandidate, grid=16):
@@ -155,24 +162,13 @@ def frobenius_residual(X: VectorFieldSet, rho: DensityCandidate, grid=16):
     product rule so exp-form densities are supported.
     """
     d = X.torus.dim
-    n = X.n
-    if n > d:
+    if X.n > d:
         raise InvalidInputError("more fields than the torus dimension")
     pts = grid_points(d, grid) if np.isscalar(grid) else np.atleast_2d(grid)
     rho_vals = rho(pts)
     grad_rho = rho.gradient(pts)
-    worst = 0.0
-    for I in itertools.combinations(range(d), n - 1):
-        minors = _divergence_terms(X, I)
-        acc = np.zeros(len(pts))
-        for i in range(d):
-            g = minors[i]
-            if g.is_zero():
-                continue
-            # d/dx_i (rho g) = rho_i g + rho g_i
-            acc += grad_rho[:, i] * g(pts) + rho_vals * g.partial(i)(pts)
-        worst = max(worst, float(np.abs(acc).max()))
-    return worst
+    return max(float(np.abs((grad_rho * g).sum(axis=1) + rho_vals * div).max())
+               for g, div in _divergence_terms(X, pts))
 
 
 def commutator_residual(X1, X2, rho: DensityCandidate, grid=16):
@@ -230,93 +226,86 @@ def solve_density(X: VectorFieldSet, cutoff, grid=None, tol=1e-6):
     sign-indefinite minimizer triggers a second pass with rho = exp(u).
     """
     d = X.torus.dim
-    n = X.n
     if grid is None:
         grid = 4 * max(cutoff, 1)
     pts = grid_points(d, grid)
-    modes = frequency_modes(d, cutoff)
-    basis = [TrigPolynomial.mode(d, m, kind) for m, kind in modes]
-    # columns: the divergence expression applied to each basis function
-    blocks = []
-    for I in itertools.combinations(range(d), n - 1):
-        minors = _divergence_terms(X, I)
-        cols = []
-        for b in basis:
-            expr = TrigPolynomial.constant(d, 0.0)
-            for i in range(d):
-                if not minors[i].is_zero():
-                    expr = expr + (b * minors[i]).partial(i)
-            cols.append(expr(pts))
-        blocks.append(np.stack(cols, axis=1))
-    A = np.concatenate(blocks, axis=0)
-    const = [k for k, (m, kind) in enumerate(modes)
-             if all(mi == 0 for mi in m)][0]
-    rhs = -A[:, const]
-    free = [k for k in range(len(basis)) if k != const]
-    Af = A[:, free]
+    # the free modes; the pinned constant mode moves div g to the right side
+    modes = [(m, kind) for m, kind in frequency_modes(d, cutoff) if any(m)]
+    terms, tables, A = _collocation(X, modes, pts)
+    rhs = -np.concatenate([div for _, div in terms])
     try:
-        coef, *_ = np.linalg.lstsq(Af, rhs, rcond=None)
+        coef, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     except np.linalg.LinAlgError:
-        reg = Af.T @ Af + 1e-10 * np.eye(Af.shape[1])
-        coef = np.linalg.solve(reg, Af.T @ rhs)
-    residual = float(np.abs(Af @ coef - rhs).max())
-    terms = {}
-    for k, c in zip(free, coef):
-        m, kind = modes[k]
-        cc, ss = terms.get(m, (0.0, 0.0))
-        terms[m] = (cc + c, ss) if kind == "cos" else (cc, ss + c)
-    mc, _ = modes[const]
-    cc, ss = terms.get(mc, (0.0, 0.0))
-    terms[mc] = (cc + 1.0, ss)
-    rho = DensityCandidate(TrigPolynomial(d, terms))
+        reg = A.T @ A + 1e-10 * np.eye(A.shape[1])
+        coef = np.linalg.solve(reg, A.T @ rhs)
+    residual = float(np.abs(A @ coef - rhs).max())
+    rho = DensityCandidate(_mode_sum(d, modes, coef) + 1.0)
     positive = float(np.min(rho(pts))) > 0
-    if residual <= tol and positive:
-        return SolveReport(True, residual, rho, cutoff)
-    if residual <= tol and not positive:
-        exp_rho = _solve_density_exp(X, cutoff, pts, modes, tol)
+    if residual <= tol:
+        if positive:
+            return SolveReport(True, residual, rho, cutoff)
+        exp_rho = _solve_density_exp(terms, tables, A, modes, cutoff, tol)
         if exp_rho is not None:
             return exp_rho
     return SolveReport(False, residual, None, cutoff)
 
 
-def _solve_density_exp(X, cutoff, pts, modes, tol, iters=12):
-    """Gauss-Newton pass with rho = exp(u), u a trig polynomial (mean zero)."""
-    d = X.torus.dim
-    n = X.n
-    free = [(m, kind) for m, kind in modes if any(mi != 0 for mi in m)]
-    basis = [TrigPolynomial.mode(d, m, kind) for m, kind in free]
-    bvals = np.stack([b(pts) for b in basis], axis=1)
-    bgrads = np.stack([[b.partial(i)(pts) for i in range(d)] for b in basis])
-    coef = np.zeros(len(basis))
-    combos = list(itertools.combinations(range(d), n - 1))
-    minor_vals, minor_divs = [], []
-    for I in combos:
-        minors = _divergence_terms(X, I)
-        minor_vals.append(np.stack([g(pts) for g in minors], axis=1))
-        minor_divs.append(np.stack([g.partial(i)(pts)
-                                    for i, g in enumerate(minors)], axis=1))
+def _mode_tables(modes, pts):
+    """Mode values on pts and their phase derivatives.
+
+    Returns (vals, turn, freqs): vals[p, b] = b(x_p), freqs[b] = 2 pi m_b,
+    and turn the cos/sin partner of b, so that grad b = turn * freqs.
+    """
+    m = np.array([freq for freq, _ in modes], float).reshape(len(modes), pts.shape[1])
+    phase = TWO_PI * (pts @ m.T)
+    cos, sin = np.cos(phase), np.sin(phase)
+    is_cos = np.array([kind == "cos" for _, kind in modes])
+    return np.where(is_cos, cos, sin), np.where(is_cos, -sin, cos), TWO_PI * m
+
+
+def _collocation(X, modes, pts):
+    """The divergence operator at rho = b for every mode b, on pts.
+
+    Returns the divergence terms, the mode tables and the matrix whose
+    column b stacks grad b . g + b div g over the index sets.
+    """
+    terms = _divergence_terms(X, pts)
+    vals, turn, freqs = tables = _mode_tables(modes, pts)
+    A = np.empty((len(terms) * len(pts), len(modes)))
+    for block, (g, div) in zip(np.split(A, len(terms)), terms):
+        np.multiply(turn, g @ freqs.T, out=block)
+        block += vals * div[:, None]
+    return terms, tables, A
+
+
+def _mode_sum(dim, modes, coef):
+    """sum_b coef_b b as a trig polynomial."""
+    terms = {}
+    for (m, kind), c in zip(modes, coef):
+        cc, ss = terms.get(m, (0.0, 0.0))
+        terms[m] = (cc + c, ss) if kind == "cos" else (cc, ss + c)
+    return TrigPolynomial(dim, terms)
+
+
+def _solve_density_exp(terms, tables, A, modes, cutoff, tol, iters=12):
+    """Gauss-Newton pass with rho = exp(u), u = sum_b c_b b over the modes.
+
+    The residual rho (grad u . g + div g) has Jacobian rho (A + b grad u . g)
+    in c, with A the linear pass's collocation matrix.
+    """
+    vals, turn, freqs = tables
+    coef = np.zeros(len(modes))
     for _ in range(iters):
-        u = bvals @ coef
-        gu = np.einsum("bip,b->pi", bgrads, coef)
-        rho = np.exp(u)
-        res_blocks, jac_blocks = [], []
-        for gv, gd in zip(minor_vals, minor_divs):
-            base = (gu * gv).sum(axis=1) + gd.sum(axis=1)
-            r = rho * base
-            res_blocks.append(r)
-            # d r / d coef_b = rho (b (gu.g + div g) + grad b . g)
-            jb = rho[:, None] * (bvals * base[:, None]
-                                 + np.einsum("bip,pi->pb", bgrads, gv))
-            jac_blocks.append(jb)
-        r = np.concatenate(res_blocks)
+        rho = np.exp(vals @ coef)
+        grad_u = turn @ (coef[:, None] * freqs)
+        flows = [(grad_u * g).sum(axis=1) for g, _ in terms]
+        r = np.concatenate([rho * (f + div) for f, (_, div) in zip(flows, terms)])
         if np.abs(r).max() <= tol:
-            terms = {}
-            for (m, kind), c in zip(free, coef):
-                cc, ss = terms.get(m, (0.0, 0.0))
-                terms[m] = (cc + c, ss) if kind == "cos" else (cc, ss + c)
-            rho_cand = DensityCandidate(TrigPolynomial(d, terms), log=True)
+            rho_cand = DensityCandidate(_mode_sum(freqs.shape[1], modes, coef),
+                                        log=True)
             return SolveReport(True, float(np.abs(r).max()), rho_cand, cutoff)
-        J = np.concatenate(jac_blocks, axis=0)
+        J = np.concatenate([rho[:, None] * (block + vals * f[:, None])
+                            for block, f in zip(np.split(A, len(terms)), flows)])
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
         coef = coef + step
     return None
@@ -343,7 +332,6 @@ class AlmostComplexGrid:
 
     def certificate(self):
         """max over the grid of |J^2 + I|."""
-        k = len(self.points)
         sq = np.einsum("kij,kjl->kil", self.J, self.J)
         return float(np.abs(sq + np.eye(4)[None]).max())
 
@@ -387,35 +375,27 @@ def pseudoholomorphic_construct(X, Y, grid=8, tol=1e-8):
     dratio = (dS * Q[None] - S[None] * dQ) / (Q ** 2)[None]
     # dP[k, j, p] = d/dx_k P_j at point p
     dP = dY - dratio[:, None, :] * Xv.T[None] - ratio[None, None, :] * dX
-    flow = np.einsum("pk,kjp->pj", Xv, dP)
-    flow_res = float(np.abs(flow).max())
+    flow_res = float(np.abs(np.einsum("pk,kjp->pj", Xv, dP)).max())
     divergence = sum(dP[k, k] for k in range(d))
     div_res = float(np.abs(divergence).max())
     if flow_res > tol or div_res > tol:
         return PseudoholoReport(False, flow_res, div_res)
-    norm_x = np.sqrt(Q)
     norm_y = np.linalg.norm(Yv, axis=1)
     if float(norm_y.min()) < 1e-12:
         raise InvalidInputError("Y vanishes on the grid")
-    rho = norm_y / norm_x
+    rho = norm_y / np.sqrt(Q)
     Yr = Yv / rho[:, None]
-    K = np.zeros((4, 4))
-    K[0, 1] = K[2, 3] = -1.0
-    K[1, 0] = K[3, 2] = 1.0
-    Js = np.empty((len(pts), 4, 4))
-    for p in range(len(pts)):
-        frame = np.empty((4, 4))
-        frame[:, 0] = Xv[p]
-        frame[:, 1] = Yr[p]
-        q, _ = np.linalg.qr(frame[:, :2])
-        comp = np.eye(4) - q @ q.T
-        w, _, _ = np.linalg.svd(comp)
-        w1, w2 = w[:, 0], w[:, 1]
-        if np.linalg.det(np.stack([Xv[p], Yr[p], w1, w2], axis=1)) < 0:
-            w1, w2 = w2, w1
-        frame[:, 2] = w1
-        frame[:, 3] = w2
-        Js[p] = frame @ K @ np.linalg.inv(frame)
+    K = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+                 float)
+    # per point: an orthonormal pair (w1, w2) spanning the complement of
+    # (X, Y/rho), ordered so that the frame (X, Y/rho, w1, w2) is positive
+    q, _ = np.linalg.qr(np.stack([Xv, Yr], axis=2))
+    w = np.linalg.svd(np.eye(4) - q @ q.transpose(0, 2, 1))[0]
+    w1, w2 = w[:, :, 0], w[:, :, 1]
+    flip = (np.linalg.det(np.stack([Xv, Yr, w1, w2], axis=2)) < 0)[:, None]
+    frame = np.stack([Xv, Yr, np.where(flip, w2, w1), np.where(flip, w1, w2)],
+                     axis=2)
+    Js = frame @ K @ np.linalg.inv(frame)
     structure = AlmostComplexGrid(pts, Js, rho)
     if structure.certificate() > 1e-8:
         raise InvalidInputError("construction lost the J^2 = -1 certificate")

@@ -305,10 +305,6 @@ class DifferentialForm:
         self.coeffs = clean
 
     @classmethod
-    def zero(cls, torus, degree):
-        return cls(torus, degree)
-
-    @classmethod
     def monomial(cls, torus, a: TrigPolynomial, index_set):
         return cls(torus, len(index_set), {tuple(index_set): a})
 

@@ -19,7 +19,6 @@ from .geometry import (
     DimensionMismatchError,
     FlatTorus,
     InvalidInputError,
-    TangentTuple,
     form_basis,
     frequency_modes,
     gram_volume,
@@ -78,10 +77,6 @@ class DiscreteMeasure:
     def scaled(self, factor):
         return DiscreteMeasure(self.torus, self.n, self.x, self.v, self.w * factor,
                                positive=self.positive and factor >= 0)
-
-    def atoms(self):
-        for i in range(len(self.w)):
-            yield TangentTuple(self.torus, self.x[i], self.v[i]), float(self.w[i])
 
     # -- functionals --------------------------------------------------
     def mass(self):

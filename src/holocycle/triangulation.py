@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import FlatTorus, InvalidInputError
 from .chains import AffineMap, Chain, clip_interval
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _mollifier_nodes
 
 
 class TransversalityError(Exception):
@@ -355,7 +355,7 @@ def u_value(simplex, x, variant="raw", eps=None, quad=32):
     if variant == "clamped":
         return np.clip(vals / eps, -1.0, 1.0)
     if variant == "smoothed":
-        nodes, weights = _bump_quadrature(quad)
+        nodes, weights = _mollifier_nodes(2.0, quad)
         shifted = (vals[:, None] - (eps * eps) * nodes[None]) / eps
         return np.clip(shifted, -1.0, 1.0) @ weights
     raise InvalidInputError(f"unknown u variant {variant!r}")
@@ -376,18 +376,11 @@ def u_gradient(simplex, x, variant="raw", eps=None, quad=32):
         inside = (np.abs(vals) < eps).astype(float)
         return normals * (inside / eps)[:, None]
     if variant == "smoothed":
-        nodes, weights = _bump_quadrature(quad)
+        nodes, weights = _mollifier_nodes(2.0, quad)
         shifted = (vals[:, None] - (eps * eps) * nodes[None]) / eps
         slope = (np.abs(shifted) < 1.0).astype(float) @ weights
         return normals * (slope / eps)[:, None]
     raise InvalidInputError(f"unknown u variant {variant!r}")
-
-
-@lru_cache(maxsize=8)
-def _bump_quadrature(q):
-    t = (np.arange(q) + 0.5) / q * 2.0 - 1.0
-    w = np.exp(-1.0 / (1.0 - t * t))
-    return t, w / w.sum()
 
 
 # ---------------------------------------------------------------------------

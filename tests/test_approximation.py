@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,9 @@ from holocycle.chains import (
     Chain,
     boundary,
     cell_measure,
+    chain_from_dict,
     chain_measure,
+    chain_to_dict,
 )
 from holocycle.measures import (
     SmoothDensityModel,
@@ -101,8 +104,7 @@ def test_base_cloud_matches_per_atom_loop():
         v_sampler=bump.v_sampler)
     tri = TorusTriangulation(T2, 2)
     base = base_measure(model, tri)
-    ref = _reference_cloud(model, PipelineConfig(reference_x_res=4,
-                                                 reference_v_samples=16))
+    ref = _reference_cloud(model, PipelineConfig())
     rho = model(ref.x, ref.v)
     want = ref.w.copy()
     for i in range(len(want)):
@@ -334,6 +336,20 @@ def test_cone_fill_area_bound_and_closure(seed):
     assert stats["mass"] <= 0.5 * stats["diam"] * stats["boundary_mass"] * (1 + 1e-9)
     # the fill is genuinely two-dimensional
     assert all(cell.n == 2 for _, cell in fill.terms)
+
+
+def test_cone_fill_json_round_trip():
+    # fills are cone maps over shifted curves; both must survive JSON
+    pts = np.array([[0.1, 0.2], [0.7, 0.3], [0.4, 0.9]])
+    loop = Chain(tuple((1.0, Cell(T2, Box((0.0,), (1.0,)),
+                                  AffineMap(pts[i], [pts[(i + 1) % 3] - pts[i]]), 8))
+                       for i in range(3)))
+    fill, _ = isoperimetric_fill(loop, 1)
+    back = chain_from_dict(json.loads(json.dumps(chain_to_dict(fill))))
+    ma, mb = chain_measure(fill), chain_measure(back)
+    assert np.array_equal(ma.x, mb.x)
+    assert np.array_equal(ma.v, mb.v)
+    assert np.array_equal(ma.w, mb.w)
 
 
 def test_open_loop_rejected():

@@ -156,6 +156,14 @@ def test_approximate_missing_config(tmp_path):
     assert rc == 2
 
 
+def test_approximate_unknown_pipeline_key(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG.replace("[pipeline]\n", "[pipeline]\nhol_cutoff = 3\n"))
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "run"), "approximate"])
+    assert rc == 2
+    assert "'hol_cutoff'" in capsys.readouterr().err
+
+
 # -- frobenius ---------------------------------------------------------
 
 def test_frobenius_coordinate_fields(tmp_path):

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holocycle.geometry import FlatTorus, InvalidInputError, TrigPolynomial
+from holocycle.geometry import (
+    FlatTorus,
+    InvalidInputError,
+    TrigPolynomial,
+    frequency_modes,
+)
 from holocycle.measures import hol_residual
 from holocycle.foliations import (
     AlmostComplexGrid,
@@ -17,6 +22,8 @@ from holocycle.foliations import (
     grid_points,
     pseudoholomorphic_construct,
     solve_density,
+    _collocation,
+    _solve_density_exp,
 )
 
 T3 = FlatTorus(3)
@@ -152,6 +159,24 @@ def test_solve_invariant_under_relabeling():
     b = solve_density(swapped, 1)
     assert a.feasible == b.feasible
     assert a.residual == pytest.approx(b.residual, abs=1e-9)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2])
+def test_exp_pass_recovers_log_density(cutoff):
+    # X = (cos 2 pi x2, -cos 2 pi x1 sin 2 pi x2) on T^2 keeps the density
+    # exp(sin 2 pi x1) invariant: div(rho X) = 0
+    T2 = FlatTorus(2)
+    X = VectorFieldSet(T2, ((TrigPolynomial.mode(2, (0, 1), "cos"),
+                             TrigPolynomial.mode(2, (1, 0), "cos")
+                             * TrigPolynomial.mode(2, (0, 1), "sin") * -1.0),))
+    pts = grid_points(2, 4 * cutoff)
+    modes = [(m, kind) for m, kind in frequency_modes(2, cutoff) if any(m)]
+    rep = _solve_density_exp(*_collocation(X, modes, pts), modes, cutoff, 1e-6)
+    assert rep.feasible and rep.rho.log
+    assert rep.residual <= 1e-9
+    x = grid_points(2, 16)
+    assert np.abs(rep.rho.rho(x) - np.sin(2 * math.pi * x[:, 0])).max() <= 1e-9
+    assert frobenius_residual(X, rep.rho, x) <= 1e-9
 
 
 # -- foliation measures ------------------------------------------------
