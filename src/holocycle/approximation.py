@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import InvalidInputError
-from .measures import DiscreteMeasure, SmoothDensityModel, TestFamily, dist, hol_residual
+from .measures import (DiscreteMeasure, SmoothDensityModel, TestFamily, hol_residual,
+                       moment_distance)
 from .chains import (
     AffineMap,
     Box,
@@ -448,6 +449,25 @@ def _wrapped_gap(torus, x, y):
     return float(np.linalg.norm(delta - np.round(delta)))
 
 
+def _nearest_end(torus, p, ends, penalty=None):
+    """Index of the first end minimizing _wrapped_gap(p, end) (+ penalty).
+
+    The gaps to all ends are one array, but a row-wise norm can differ from
+    np.linalg.norm of that row in the last ulp, so every end within 1e-12 of
+    the array minimum is re-measured with _wrapped_gap; the choice is then
+    the one a scalar loop over the ends in order would make.
+    """
+    delta = np.asarray(p)[None] - ends
+    delta -= np.round(delta)
+    gaps = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+    if penalty is not None:
+        gaps += penalty
+    near = np.flatnonzero(gaps <= gaps.min() + 1e-12)
+    exact = [_wrapped_gap(torus, p, ends[i])
+             + (0.0 if penalty is None else float(penalty[i])) for i in near]
+    return int(near[int(np.argmin(exact))])
+
+
 def pair_cells(records, tri, threshold=None):
     """Greedy matching of face traces across each interior (d-1)-face.
 
@@ -651,12 +671,14 @@ def isoperimetric_fill(theta: Chain, m, apex=None, tol=1e-9):
             raise InvalidInputError("0-chain weights do not cancel")
         fills = []
         total = 0.0
-        minus = list(minus)
+        weights = [wq for wq, _ in minus]
+        ends = np.array([q for _, q in minus]).reshape(-1, torus.dim)
         for w, p in plus:
-            if not minus:
+            if not len(ends):
                 break
-            j = int(np.argmin([_wrapped_gap(torus, p, q) for _, q in minus]))
-            wq, q = minus.pop(j)
+            j = _nearest_end(torus, p, ends)
+            wq, q = weights.pop(j), ends[j]
+            ends = np.delete(ends, j, axis=0)
             # connect the minus point to the plus point: boundary = +p - q
             seg, length = _segment_cell(torus, q, p)
             if seg is not None:
@@ -748,16 +770,16 @@ def close_up(beta: Chain, records, tri, connector_resolution=6, leaves=None):
                 x = rec.cell.map(np.array([[t_end]]))[0]
                 (plus if sign > 0 else minus).append((rec.sim, x))
         # match within simplices first, then globally, greedily by distance
-        minus = list(minus)
+        sims = np.array([sim for sim, _ in minus], dtype=int)
+        ends = np.array([q for _, q in minus]).reshape(-1, torus.dim)
         order = sorted(range(len(plus)), key=lambda i: plus[i][0])
         for i in order:
             sim_p, p = plus[i]
-            if not minus:
+            if not len(ends):
                 break
-            gaps = [_wrapped_gap(torus, p, q) + (0.0 if sim_q == sim_p else 0.25)
-                    for sim_q, q in minus]
-            j = int(np.argmin(gaps))
-            _, q = minus.pop(j)
+            j = _nearest_end(torus, p, ends, np.where(sims == sim_p, 0.0, 0.25))
+            q = ends[j]
+            sims, ends = np.delete(sims, j), np.delete(ends, j, axis=0)
             seg, length = _segment_cell(torus, p, q, connector_resolution)
             if seg is None:
                 continue
@@ -1002,6 +1024,9 @@ def approximate(model: SmoothDensityModel, cfg: PipelineConfig = None,
     torus = model.torus
     family = TestFamily(torus, model.n)
     ref = _reference_cloud(model, cfg)
+    # each measure's test-function moments are computed once and shared by
+    # every distance it enters
+    ref_moments = family.moments(ref, DIST_TRUNCATION)
     rows = []
     artifacts = []
     for k in range(cfg.k_min, cfg.k_max + 1):
@@ -1038,17 +1063,21 @@ def approximate(model: SmoothDensityModel, cfg: PipelineConfig = None,
         eta_prob = quad_eta.scaled(1.0 / scale)
         mu_eta = chain_measure(eta_prob)
         base_cloud = _base_cloud(ref, base)
+        base_moments = (ref_moments if base_cloud is ref
+                        else family.moments(base_cloud, DIST_TRUNCATION))
+        beta_moments = family.moments(mu_beta, DIST_TRUNCATION)
+        eta_moments = family.moments(mu_eta, DIST_TRUNCATION)
         row = {
             "k": k,
             "cells": len(records),
             "leaves": len(samples.leaves),
             "Z": Z,
             "unpaired_ratio": pairing.unpaired_ratio,
-            "dist_mu_base": dist(ref, base_cloud, family, DIST_TRUNCATION),
-            "dist_base_beta": dist(base_cloud, mu_beta, family, DIST_TRUNCATION),
-            "dist_beta_eta": dist(mu_beta, mu_eta, family, DIST_TRUNCATION),
-            "dist_mu_eta": dist(ref, mu_eta, family, DIST_TRUNCATION),
-            "mass_beta": mu_beta.mass(),
+            "dist_mu_base": moment_distance(ref_moments, base_moments, family),
+            "dist_base_beta": moment_distance(base_moments, beta_moments, family),
+            "dist_beta_eta": moment_distance(beta_moments, eta_moments, family),
+            "dist_mu_eta": moment_distance(ref_moments, eta_moments, family),
+            "mass_beta": float(beta_moments[0]),
             "mass_eta": mu_eta_raw.mass(),
             # total-variation reading: the closing material can only add mass
             "mass_gap": hierarchy["connector_mass"] + hierarchy["fill_mass"],

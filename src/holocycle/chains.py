@@ -8,7 +8,9 @@ equals domain volume for affine maps.
 """
 from __future__ import annotations
 
+import ast
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -334,10 +336,70 @@ class AffineMap:
         return {"type": "affine", "x0": list(self.x0), "V": [list(r) for r in self.V]}
 
 
-_EXPR_NAMESPACE = {
+# what an expression may call and which constants it may name
+_EXPR_FUNCTIONS = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
-    "sqrt": np.sqrt, "pi": math.pi, "abs": np.abs, "mod": np.mod,
+    "sqrt": np.sqrt, "abs": np.abs, "mod": np.mod,
 }
+_EXPR_CONSTANTS = {"pi": math.pi}
+_EXPR_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+                ast.Mult: operator.mul, ast.Div: operator.truediv,
+                ast.Pow: operator.pow}
+_EXPR_UNARY = {ast.USub: operator.neg}
+
+
+def _compile_node(node, variables, text):
+    """A function env -> value for one node of a whitelisted expression."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        value = node.value
+        return lambda env: value
+    if isinstance(node, ast.Name):
+        if node.id in _EXPR_CONSTANTS:
+            value = _EXPR_CONSTANTS[node.id]
+            return lambda env: value
+        if node.id in variables:
+            name = node.id
+            return lambda env: env[name]
+        raise InvalidInputError(f"unknown name {node.id!r} in expression {text!r}")
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_BINARY:
+        op = _EXPR_BINARY[type(node.op)]
+        left = _compile_node(node.left, variables, text)
+        right = _compile_node(node.right, variables, text)
+        return lambda env: op(left(env), right(env))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_UNARY:
+        op = _EXPR_UNARY[type(node.op)]
+        operand = _compile_node(node.operand, variables, text)
+        return lambda env: op(operand(env))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _EXPR_FUNCTIONS and not node.keywords
+            and not any(isinstance(a, ast.Starred) for a in node.args)):
+        fn = _EXPR_FUNCTIONS[node.func.id]
+        args = [_compile_node(a, variables, text) for a in node.args]
+        return lambda env: fn(*[a(env) for a in args])
+    what = (f"call of {ast.unparse(node.func)!r}" if isinstance(node, ast.Call)
+            else type(node).__name__)
+    raise InvalidInputError(f"{what} not allowed in expression {text!r}")
+
+
+class Expression:
+    """An arithmetic expression, checked against a whitelist when parsed.
+
+    Allowed: numbers, the given variable names and pi, + - * / ** and
+    unary -, and calls of sin, cos, tan, exp, sqrt, abs and mod (numpy).
+    Any other construct (attributes, subscripts, lambdas, comprehensions,
+    other names or calls) is an InvalidInputError.  Calling the expression
+    with a dict of variable values evaluates it with numpy semantics.
+    """
+
+    def __init__(self, text, variables):
+        try:
+            tree = ast.parse(text.strip(), mode="eval")
+        except SyntaxError as exc:
+            raise InvalidInputError(f"cannot parse expression {text!r}: {exc.msg}")
+        self._run = _compile_node(tree.body, frozenset(variables), text)
+
+    def __call__(self, env):
+        return self._run(env)
 
 
 class ExprMap:
@@ -346,14 +408,13 @@ class ExprMap:
     def __init__(self, exprs, n):
         self.exprs = list(exprs)
         self.n = n
-        self._code = [compile(e, "<map-expr>", "eval") for e in self.exprs]
+        names = [f"t{j + 1}" for j in range(n)]
+        self._code = [Expression(e, names) for e in self.exprs]
 
     def __call__(self, t):
         t = np.atleast_2d(np.asarray(t, float))
         env = {f"t{j + 1}": t[:, j] for j in range(self.n)}
-        env.update(_EXPR_NAMESPACE)
-        cols = [np.broadcast_to(eval(code, {"__builtins__": {}}, env), len(t))
-                for code in self._code]
+        cols = [np.broadcast_to(code(env), len(t)) for code in self._code]
         return np.stack(cols, axis=1).astype(float)
 
     def jacobian(self, t, h=1e-6):

@@ -8,7 +8,6 @@ Exit codes: 0 success / check passed, 1 check failed or infeasible,
 import argparse
 import configparser
 import json
-import math
 import os
 import re
 import sys
@@ -20,7 +19,7 @@ from .geometry import (
     InvalidInputError,
     TrigPolynomial,
 )
-from .chains import ExprMap, chain_measure, chain_to_dict
+from .chains import Expression, ExprMap, chain_measure, chain_to_dict
 from .measures import (
     DiscreteMeasure,
     SmoothDensityModel,
@@ -156,11 +155,11 @@ def cmd_check_hol(args):
     if not len(mu.w):
         print("empty measure: residual 0")
         return EXIT_OK
-    worst = 0.0
+    pairing, normalized = exact_form_pairings(mu, args.cutoff)
+    worst = float(np.max(normalized, initial=0.0))
     print("# form_index pairing normalized")
-    for i, (val, normalized) in enumerate(exact_form_pairings(mu, args.cutoff)):
-        worst = max(worst, normalized)
-        print("%d %.17g %.17g" % (i, val, normalized))
+    for i, (val, norm) in enumerate(zip(pairing, normalized)):
+        print("%d %.17g %.17g" % (i, val, norm))
     print("# max_residual %.17g" % worst)
     return EXIT_OK if worst <= args.tol else EXIT_FAIL
 
@@ -169,14 +168,19 @@ def cmd_check_hol(args):
 # approximate
 # ---------------------------------------------------------------------------
 
-def _lagrangian(expr):
-    code = compile(expr, "<lagrangian>", "eval")
+def _lagrangian(expr, d, n):
+    """Integrand L(x, v) in x1..xd, v11..vnd (v_ij: coordinate j of v_i), vnorm2."""
+    xs = [f"x{i + 1}" for i in range(d)]
+    vs = [[f"v{i + 1}{j + 1}" for j in range(d)] for i in range(n)]
+    code = Expression(expr, xs + sum(vs, []) + ["vnorm2"])
 
     def L(x, v):
-        env = {"x": x, "v": v, "np": np, "pi": math.pi,
-               "sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt,
-               "vnorm2": np.sum(np.asarray(v) ** 2, axis=(1, 2))}
-        return np.broadcast_to(eval(code, {"__builtins__": {}}, env), len(x))
+        v = np.asarray(v)
+        env = {name: x[:, j] for j, name in enumerate(xs)}
+        env.update((name, v[:, i, j]) for i, row in enumerate(vs)
+                   for j, name in enumerate(row))
+        env["vnorm2"] = np.sum(v ** 2, axis=(1, 2))
+        return np.broadcast_to(code(env), len(x))
 
     return L
 
@@ -228,8 +232,9 @@ def pipeline_config_from(cp, seed_override=None):
         kwargs["seed"] = seed_override
     lagrangians = {}
     if cp.has_section("lagrangian"):
+        d, n = cp.getint("torus", "d"), cp.getint("torus", "n")
         for name, expr in cp["lagrangian"].items():
-            lagrangians[name] = _lagrangian(expr)
+            lagrangians[name] = _lagrangian(expr, d, n)
     return PipelineConfig(lagrangians=lagrangians, **kwargs)
 
 

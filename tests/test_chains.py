@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -218,6 +219,27 @@ def test_expr_map_matches_affine():
     t = np.linspace(0.05, 0.9, 7).reshape(-1, 1)
     assert np.allclose(e(t), a(t))
     assert np.allclose(e.jacobian(t), a.jacobian(t), atol=1e-7)
+
+
+def test_expr_map_evaluates_like_numpy_and_round_trips():
+    e = ExprMap(["t1", "2*t1", "-sin(2*pi*t1) / 3 + t1 ** 2"], 1)
+    t = np.linspace(0.05, 0.9, 7).reshape(-1, 1)
+    expect = np.stack([t[:, 0], 2 * t[:, 0],
+                       -np.sin(2 * math.pi * t[:, 0]) / 3 + t[:, 0] ** 2], axis=1)
+    assert np.array_equal(e(t), expect)
+    ch = Chain(((1.0, Cell(FlatTorus(3), Box((0.0,), (1.0,)), e, 16)),))
+    back = chain_from_dict(json.loads(json.dumps(chain_to_dict(ch))))
+    ma, mb = chain_measure(ch), chain_measure(back)
+    assert np.array_equal(ma.x, mb.x)
+    assert np.array_equal(ma.v, mb.v)
+    assert np.array_equal(ma.w, mb.w)
+
+
+@pytest.mark.parametrize("expr", ["__import__('os')", "t1.__class__", "t2 + 1",
+                                  "t1[0]", "lambda: t1", "[t1 for _ in t1]", "1 +"])
+def test_expr_map_rejects_unlisted_constructs(expr):
+    with pytest.raises(InvalidInputError):
+        ExprMap([expr], 1)
 
 
 def test_chain_json_round_trip():

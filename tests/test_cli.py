@@ -5,9 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from holocycle.cli import main, trig_to_dict
-from holocycle.geometry import TrigPolynomial
-from holocycle.measures import read_measure
+from holocycle.cli import _lagrangian, main, trig_to_dict
+from holocycle.geometry import FlatTorus, TrigPolynomial, form_basis
+from holocycle.measures import DiscreteMeasure, read_measure, write_measure
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -96,6 +96,30 @@ def test_check_hol_empty_measure(tmp_path):
     assert rc == 0
 
 
+def test_check_hol_rows_follow_form_basis(tmp_path, capsys):
+    # d = 3, n = 2: 3 index sets times 125 modes at cutoff 2
+    torus = FlatTorus(3)
+    rng = np.random.default_rng(3)
+    mu = DiscreteMeasure(torus, 2, rng.random((40, 3)), rng.normal(size=(40, 2, 3)),
+                         rng.random(40))
+    path = tmp_path / "m.txt"
+    write_measure(mu, path)
+    mu = read_measure(path)
+    rc = main(["check-hol", str(path), "--cutoff", "2", "--tol", "1e9"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines if not line.startswith("#")]
+    assert len(rows) == 375
+    assert [int(r[0]) for r in rows] == list(range(375))
+    for row, omega in zip(rows, form_basis(torus, 1, 2)):
+        dw = omega.exterior_derivative()
+        val = mu.pair(dw)
+        assert abs(float(row[1]) - val) <= 1e-12 * (1.0 + abs(val))
+        assert abs(float(row[2]) - abs(val) / (1.0 + dw.sup_bound())) <= 1e-12
+    worst = max(float(r[2]) for r in rows)
+    assert lines[-1] == "# max_residual %.17g" % worst
+
+
 # -- approximate -------------------------------------------------------
 
 CONFIG = """
@@ -162,6 +186,33 @@ def test_approximate_unknown_pipeline_key(tmp_path, capsys):
     rc = main(["--config", str(cfg), "--out", str(tmp_path / "run"), "approximate"])
     assert rc == 2
     assert "'hol_cutoff'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expr, named", [("__import__('os')", "'__import__'"),
+                                          ("x.__class__", "Attribute"),
+                                          ("speed + 1", "'speed'")])
+def test_unsafe_or_unknown_expression_rejected(tmp_path, capsys, expr, named):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG.replace("energy = 1 + vnorm2", f"energy = {expr}"))
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "run"), "approximate"])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "run" / "report.csv").exists()
+    rc = main(["--out", str(tmp_path), "gen-measure", "--kind", "curve",
+               "--expr", f"t, {expr}"])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+
+
+def test_lagrangian_documented_names():
+    rng = np.random.default_rng(0)
+    x, v = rng.random((9, 3)), rng.normal(size=(9, 2, 3))
+    L = _lagrangian("x3 * v12 - v23 + vnorm2 * cos(2 * pi * x1)", 3, 2)
+    expect = (x[:, 2] * v[:, 0, 1] - v[:, 1, 2]
+              + np.sum(v ** 2, axis=(1, 2)) * np.cos(2 * np.pi * x[:, 0]))
+    assert np.array_equal(L(x, v), expect)
+    assert np.array_equal(_lagrangian("1 + vnorm2", 3, 2)(x, v),
+                          1 + np.sum(v ** 2, axis=(1, 2)))
 
 
 # -- frobenius ---------------------------------------------------------

@@ -6,12 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holocycle.geometry import DifferentialForm, FlatTorus, InvalidInputError, TrigPolynomial
+from holocycle.geometry import (
+    DifferentialForm,
+    FlatTorus,
+    InvalidInputError,
+    TrigPolynomial,
+    form_basis,
+    gram_volume,
+)
 from holocycle.measures import (
     DiscreteMeasure,
     TestFamily,
     convolve,
     dist,
+    exact_form_pairings,
     hol_residual,
     kernel_density_model,
     read_measure,
@@ -132,6 +140,66 @@ def test_dist_two_close_atoms_direct_summation_oracle():
     assert val > 0
 
 
+def per_function_dist(mu1, mu2, family, truncation):
+    """The truncated metric summed one TestFamily.function at a time."""
+    total = abs(mu1.mass() - mu2.mass())
+    for m in range(1, truncation + 1):
+        f, bound = family.function(m)
+        total += abs(mu1.integrate(f) - mu2.integrate(f)) / (2.0 ** m * bound)
+    return total
+
+
+@given(st.integers(0, 10_000), st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2)]),
+       st.integers(0, 40))
+@settings(max_examples=30, deadline=None)
+def test_dist_via_moments_is_bit_identical(seed, dims, k):
+    d, n = dims
+    torus = FlatTorus(d)
+    rng = np.random.default_rng(seed)
+
+    def measure(size):
+        return DiscreteMeasure(torus, n, rng.random((size, d)),
+                               rng.normal(size=(size, n, d)), rng.random(size))
+
+    a, b = measure(k), measure(k // 2 + 1)
+    fam = TestFamily(torus, n)
+    for truncation in (1, 7, 16):
+        assert dist(a, b, fam, truncation) == per_function_dist(a, b, fam, truncation)
+    assert fam.moments(a, 16)[0] == a.mass()
+
+
+def test_test_functions_follow_their_formula():
+    # f = trig(2 pi m.x) for pure x-modes, else trig * exp(-|v|^2 / (2 s^2)) * (1 + vol)
+    torus = FlatTorus(3)
+    rng = np.random.default_rng(1)
+    x, v = rng.random((50, 3)), rng.normal(size=(50, 2, 3))
+    fam = TestFamily(torus, 2)
+    for index, ((m, kind), j) in enumerate(fam._entries(16), start=1):
+        f, bound = fam.function(index)
+        phase = 2.0 * math.pi * (x @ np.asarray(m, dtype=float))
+        trig = np.cos(phase) if kind == "cos" else np.sin(phase)
+        if j is None:
+            expect = trig
+            assert bound == 1.0
+        else:
+            sigma = 2.0 ** j
+            flat = v.reshape(len(v), -1)
+            gauss = np.exp(-np.sum(flat * flat, axis=1) / (2.0 * sigma * sigma))
+            expect = trig * gauss * (1.0 + gram_volume(v))
+            assert bound == 1.0 + (sigma * math.sqrt(2)) ** 2 * math.exp(-1.0)
+        assert np.array_equal(f(x, v), expect)
+
+
+def test_test_family_exhaustion():
+    fam = TestFamily(T2, 1, freq_cutoff=0, max_bandwidth=0)
+    mu = loop_measure(10)
+    assert len(fam.moments(mu, 1)) == 2
+    for call in (lambda: fam.function(2), lambda: fam.function(0),
+                 lambda: fam.moments(mu, 2), lambda: dist(mu, mu, fam, 2)):
+        with pytest.raises(InvalidInputError):
+            call()
+
+
 def test_dist_monotone_in_truncation():
     fam = TestFamily(T2, 1)
     a = loop_measure(50)
@@ -162,6 +230,55 @@ def test_hol_residual_open_segment_analytic():
     dw = w.exterior_derivative()
     assert mu.pair(dw) == pytest.approx(1.0, rel=1e-5)  # 2pi * 1/(2pi)
     assert hol_residual(mu, 1) >= 1 / (4 * math.pi)
+
+
+def per_form_pairings(mu, cutoff):
+    """Reference loop: pair mu with d(omega) one basis form at a time."""
+    out = []
+    for omega in form_basis(mu.torus, mu.n - 1, cutoff):
+        dw = omega.exterior_derivative()
+        val = mu.pair(dw)
+        out.append((val, abs(val) / (1.0 + dw.sup_bound())))
+    return np.array(out).reshape(-1, 2)
+
+
+@st.composite
+def engine_cases(draw):
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(1, d))
+    cutoff = draw(st.integers(0, 2))
+    k = draw(st.integers(0, 12))
+    signed = draw(st.booleans())
+    seed = draw(st.integers(0, 10_000))
+    return d, n, cutoff, k, signed, seed
+
+
+@given(engine_cases())
+@settings(max_examples=60, deadline=None)
+def test_exact_form_pairings_match_per_form_loop(case):
+    d, n, cutoff, k, signed, seed = case
+    torus = FlatTorus(d)
+    rng = np.random.default_rng(seed)
+    w = rng.random(k) + 0.1
+    if signed:
+        w *= rng.choice([-1.0, 1.0], size=k)
+    mu = DiscreteMeasure(torus, n, rng.random((k, d)), rng.normal(size=(k, n, d)), w,
+                         positive=not signed)
+    pairing, normalized = exact_form_pairings(mu, cutoff)
+    ref = per_form_pairings(mu, cutoff)
+    assert pairing.shape == normalized.shape == (len(ref),)
+    tol = 1e-12 * (1.0 + np.abs(ref))
+    assert np.all(np.abs(pairing - ref[:, 0]) <= tol[:, 0])
+    assert np.all(np.abs(normalized - ref[:, 1]) <= tol[:, 1])
+    assert hol_residual(mu, cutoff) == pytest.approx(ref[:, 1].max(initial=0.0),
+                                                     rel=1e-12, abs=1e-12)
+
+
+def test_exact_form_pairings_reject_bad_degree_and_cutoff():
+    with pytest.raises(InvalidInputError):
+        exact_form_pairings(DiscreteMeasure.empty(T2, 0), 1)
+    with pytest.raises(InvalidInputError):
+        exact_form_pairings(loop_measure(10), -1)
 
 
 # -- convolution ------------------------------------------------------
