@@ -1,4 +1,4 @@
-"""Flat torus model, tangent tuples, trigonometric polynomials and exterior calculus.
+"""Flat torus model, trigonometric polynomials and exterior calculus.
 
 Points on T^d = R^d/Z^d are stored with coordinates reduced to [0, 1);
 tangent vectors are plain R^d vectors (parallel transport is trivial on a
@@ -8,7 +8,6 @@ coefficients, so differentiation and products are exact.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -38,39 +37,6 @@ class FlatTorus:
     def wrap(self, x):
         return np.mod(np.asarray(x, dtype=float), 1.0)
 
-    def distance(self, x, y):
-        """Geodesic distance: min over integer shifts of the Euclidean distance."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape[-1] != self.dim or y.shape[-1] != self.dim:
-            raise DimensionMismatchError("point dimension does not match torus")
-        delta = np.abs(np.mod(x - y, 1.0))
-        delta = np.minimum(delta, 1.0 - delta)
-        return np.sqrt(np.sum(delta * delta, axis=-1))
-
-
-@dataclass(frozen=True)
-class TangentTuple:
-    """A point x on T^d together with n tangent vectors (v_1, ..., v_n)."""
-
-    torus: FlatTorus
-    x: np.ndarray
-    v: np.ndarray  # shape (n, d)
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        v = np.atleast_2d(np.asarray(self.v, dtype=float))
-        if x.shape != (self.torus.dim,):
-            raise DimensionMismatchError("point has wrong dimension")
-        if v.ndim != 2 or v.shape[1] != self.torus.dim:
-            raise DimensionMismatchError("vectors have wrong dimension")
-        object.__setattr__(self, "x", self.torus.wrap(x))
-        object.__setattr__(self, "v", v)
-
-    @property
-    def n(self):
-        return self.v.shape[0]
-
 
 def gram_volume(v):
     """sqrt(|det G|) with G_ij = <v_i, v_j>: volume of the spanned parallelepiped.
@@ -90,17 +56,6 @@ def gram_volume(v):
         g = np.einsum("kid,kjd->kij", v, v)
         out = np.sqrt(np.abs(np.linalg.det(g)))
     return float(out[0]) if single else out
-
-
-def torus_distance(torus, x, y):
-    return float(torus.distance(x, y))
-
-
-def tuple_distance(a: TangentTuple, b: TangentTuple):
-    """Base distance plus Euclidean distance of the stacked vector parts."""
-    if a.torus != b.torus or a.n != b.n:
-        raise DimensionMismatchError("tuples live on different bundles")
-    return float(a.torus.distance(a.x, b.x)) + float(np.linalg.norm(a.v - b.v))
 
 
 def _canonical_freq(m):
@@ -392,41 +347,6 @@ class DifferentialForm:
         checking those pass a small positive tol.
         """
         return all(a.is_zero(tol) for a in self.coeffs.values())
-
-    # -- serialization ------------------------------------------------
-    def to_dict(self):
-        return {
-            "degree": self.degree,
-            "dim": self.torus.dim,
-            "coefficients": [
-                {
-                    "indices": list(idx),
-                    "terms": [
-                        {"m": list(m), "cos": c, "sin": s}
-                        for m, (c, s) in sorted(a.terms.items())
-                    ],
-                }
-                for idx, a in sorted(self.coeffs.items())
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        torus = FlatTorus(int(data["dim"]))
-        coeffs = {}
-        for entry in data["coefficients"]:
-            terms = {
-                tuple(t["m"]): (float(t["cos"]), float(t["sin"])) for t in entry["terms"]
-            }
-            coeffs[tuple(entry["indices"])] = TrigPolynomial(torus.dim, terms)
-        return cls(torus, int(data["degree"]), coeffs)
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
 
 def frequency_modes(dim, cutoff):

@@ -416,51 +416,6 @@ def velocity_bump_model(torus, n, centers, eps):
                               v_sampler=v_sampler)
 
 
-def kernel_density_model(mu: DiscreteMeasure, eps):
-    """Smooth density from an atom measure by mollifier kernels (x wrapped)."""
-    d = mu.torus.dim
-    grid = np.linspace(-1, 1, 4001)[1:-1]
-    z = _trapezoid(_bump(grid), grid) * (eps / 2.0)
-    ncomp = d + mu.n * d
-    h = eps / 2.0
-
-    def density(x, v):
-        out = np.zeros(len(x))
-        for i in range(len(mu.w)):
-            dx = np.mod(x - mu.x[i] + 0.5, 1.0) - 0.5
-            dv = v - mu.v[i]
-            comp = np.concatenate([dx, dv.reshape(len(v), -1)], axis=1) / h
-            out += mu.w[i] * np.prod(_bump(comp), axis=1)
-        return out / (z ** ncomp)
-
-    radius = float(np.max(np.abs(mu.v)) + eps) if len(mu.w) else eps
-    return SmoothDensityModel(mu.torus, mu.n, density, radius)
-
-
-def sample_density(model: SmoothDensityModel, res_x, res_v=None):
-    """Midpoint-rule atom cloud on T^d x [-R, R]^{n d}."""
-    if res_x < 2:
-        raise InvalidInputError("resolution must be at least 2 per axis")
-    res_v = res_v or res_x
-    d = model.torus.dim
-    n = model.n
-    R = model.radius
-    xs = (np.arange(res_x) + 0.5) / res_x
-    vs = -R + (np.arange(res_v) + 0.5) * (2.0 * R / res_v)
-    x_grid = np.stack(np.meshgrid(*([xs] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    v_grid = np.stack(np.meshgrid(*([vs] * (n * d)), indexing="ij"), axis=-1)
-    v_grid = v_grid.reshape(-1, n, d)
-    cell_vol = (1.0 / res_x) ** d * (2.0 * R / res_v) ** (n * d)
-
-    xs_all = np.repeat(x_grid, len(v_grid), axis=0)
-    vs_all = np.tile(v_grid, (len(x_grid), 1, 1))
-    w = model(xs_all, vs_all) * cell_vol
-    keep = w > 0
-    if not keep.any():
-        return DiscreteMeasure.empty(model.torus, n)
-    return DiscreteMeasure(model.torus, n, xs_all[keep], vs_all[keep], w[keep])
-
-
 # ---------------------------------------------------------------------------
 # file format
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""Kuhn-triangulation refinement family on the torus with slice machinery.
+"""Kuhn-triangulation refinement family on the torus and the boundary balance.
 
 Each dyadic grid cube is split into d! simplices along coordinate
 permutation paths, which makes the level-k mesh an exact refinement of the
 level-(k-1) mesh and gives trivial point location.  On top of the mesh live
-the nested simplex chains, the collar functions u_V, the transversal slice
-measures, and the boundary-balance functional that certifies holonomy on the
-skeleton.
+the facet pieces of each simplex, the nested simplex chains, and the
+boundary-balance functional that counts the signed crossings of a chain of
+affine cells with the skeleton.
 """
 from __future__ import annotations
 
@@ -17,8 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import FlatTorus, InvalidInputError
-from .chains import AffineMap, Chain, clip_interval
-from .measures import DiscreteMeasure, _mollifier_nodes
+from .chains import AffineMap, Chain
 
 
 class TransversalityError(Exception):
@@ -93,7 +92,7 @@ def _facet_normal(facet_vertices, inward_vertex):
 
 
 class TorusTriangulation:
-    """The level-k Kuhn mesh of T^d with charts, collars, and slices."""
+    """The level-k Kuhn mesh of T^d with skeleta, half-spaces, nested chains."""
 
     def __init__(self, torus: FlatTorus, level: int, max_top_simplices=2_000_000):
         if not 1 <= torus.dim <= 4:
@@ -203,24 +202,6 @@ class TorusTriangulation:
             self._face_directions[n] = list(mats.values())
         return self._face_directions[n]
 
-    def containing_level1(self, simplex: Simplex):
-        return locate_simplex(self.torus, 1, simplex.barycenter())
-
-    def chart(self, simplex: Simplex):
-        """Barycentric chart of the containing level-1 simplex."""
-        u = self.containing_level1(simplex)
-        v = u.array()
-        A = np.linalg.inv((v[1:] - v[0]).T)
-        return Chart(A, v[0], u.barycenter())
-
-    def face_adjacency(self):
-        """Map from (d-1)-face key to the indices of its two incident tops."""
-        adj = {}
-        for i, top in enumerate(self._tops):
-            for face in top.facets():
-                adj.setdefault(face.key(), []).append(i)
-        return adj
-
     def nested_chains(self, length):
         """Properly nested chains V_1 > ... > V_l, dim V_i = d - i + 1."""
         if not 1 <= length <= self.torus.dim:
@@ -233,22 +214,6 @@ class TorusTriangulation:
                     nxt.append(c + (f,))
             chains = nxt
         return chains
-
-
-@dataclass(frozen=True)
-class Chart:
-    """Affine barycentric chart x -> A (x - x0) of a level-1 simplex."""
-
-    A: np.ndarray
-    x0: np.ndarray
-    anchor: np.ndarray
-
-    def to_chart(self, x):
-        rep = _nearest_representative(np.asarray(x, float), self.anchor)
-        return (rep - self.x0) @ self.A.T
-
-    def from_chart(self, lam):
-        return self.x0 + np.asarray(lam, float) @ np.linalg.inv(self.A).T
 
 
 def _key_sort(key):
@@ -295,16 +260,22 @@ def locate_simplex(torus, level, x):
 
 
 # ---------------------------------------------------------------------------
-# collar functions u_V
+# facet pieces and boundary balance
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=65536)
-def _facet_pieces_cached(simplex):
+def facet_pieces(simplex):
+    """Affine pieces (inward unit normal, base point) of a simplex, plus anchor.
+
+    One piece per facet, in drop-vertex order: the inward signed distance to
+    the facet, measured in the direction space of the simplex and extended
+    ambiently.  The anchor is the barycenter.
+    """
     v = simplex.array()
     m = simplex.dim
     d = simplex.ambient_dim
     if m < 1:
-        raise InvalidInputError("u function needs a simplex of dimension >= 1")
+        raise InvalidInputError("facet pieces need a simplex of dimension >= 1")
     if m == d:
         basis = np.eye(d)
         local = v
@@ -329,64 +300,6 @@ def _facet_pieces_cached(simplex):
     return pieces, v.mean(axis=0)
 
 
-def facet_pieces(simplex):
-    """Affine pieces (inward unit normal, base point) of u_V, plus anchor."""
-    return _facet_pieces_cached(simplex)
-
-
-def u_value(simplex, x, variant="raw", eps=None, quad=32):
-    """Collar function of the simplex at x.
-
-    raw: min over facets of the inward signed distance, measured in the
-    direction space of the simplex and extended ambiently (positive over the
-    interior, negative outside, zero over the boundary).
-    clamped: clamp(raw / eps, -1, 1).
-    smoothed: the clamp mollified by a bump of width eps^2 (midpoint
-    quadrature; exact wherever the clamp is locally linear).
-    """
-    pieces, anchor = facet_pieces(simplex)
-    x = np.atleast_2d(np.asarray(x, float))
-    rep = x - np.round(x - anchor[None])
-    vals = np.min(np.stack([(rep - p[None]) @ n for n, p in pieces]), axis=0)
-    if variant == "raw":
-        return vals
-    if eps is None or eps <= 0:
-        raise InvalidInputError("clamped/smoothed variants need eps > 0")
-    if variant == "clamped":
-        return np.clip(vals / eps, -1.0, 1.0)
-    if variant == "smoothed":
-        nodes, weights = _mollifier_nodes(2.0, quad)
-        shifted = (vals[:, None] - (eps * eps) * nodes[None]) / eps
-        return np.clip(shifted, -1.0, 1.0) @ weights
-    raise InvalidInputError(f"unknown u variant {variant!r}")
-
-
-def u_gradient(simplex, x, variant="raw", eps=None, quad=32):
-    """Analytic gradient of u_value away from facet-piece switching sets."""
-    pieces, anchor = facet_pieces(simplex)
-    x = np.atleast_2d(np.asarray(x, float))
-    rep = x - np.round(x - anchor[None])
-    allv = np.stack([(rep - p[None]) @ n for n, p in pieces])
-    active = np.argmin(allv, axis=0)
-    normals = np.stack([pieces[a][0] for a in active])
-    vals = np.min(allv, axis=0)
-    if variant == "raw":
-        return normals
-    if variant == "clamped":
-        inside = (np.abs(vals) < eps).astype(float)
-        return normals * (inside / eps)[:, None]
-    if variant == "smoothed":
-        nodes, weights = _mollifier_nodes(2.0, quad)
-        shifted = (vals[:, None] - (eps * eps) * nodes[None]) / eps
-        slope = (np.abs(shifted) < 1.0).astype(float) @ weights
-        return normals * (slope / eps)[:, None]
-    raise InvalidInputError(f"unknown u variant {variant!r}")
-
-
-# ---------------------------------------------------------------------------
-# slice measures and boundary balance
-# ---------------------------------------------------------------------------
-
 def _cell_shifts(cell, simplex):
     """Integer translates of an affine cell whose image can meet the simplex.
 
@@ -394,7 +307,7 @@ def _cell_shifts(cell, simplex):
     same face several times under different lifts.
     """
     if not isinstance(cell.map, AffineMap):
-        raise InvalidInputError("exact slicing needs affine cells")
+        raise InvalidInputError("boundary balance needs affine cells")
     x0, V = cell.map.x0, cell.map.V
     tlo, thi = cell.domain.bounds()
     corners = np.array(list(itertools.product(*zip(tlo, thi))))
@@ -417,13 +330,15 @@ def _facet_index(parent, child):
     raise InvalidInputError("chain is not properly nested")
 
 
-def _slice_cell_points(cell, coeff, C, torus, cond_tol=1e-6):
-    """Exact transversal intersections of one affine n-cell with length-n C.
+def _crossing_signs(cell, C, cond_tol=1e-6):
+    """Signs of the exact transversal intersections of one affine n-cell
+    with the length-n nested chain C.
 
     The differential du_{V_i} in a nested chain is the affine piece of the
     facet containing V_{i+1}; only the last level enumerates facets, and a
     solution counts when it lies in the band of that facet (which, on the
-    facet plane, is the facet itself).
+    facet plane, is the facet itself).  The sign is that of the crossing
+    Jacobian.
     """
     ell = len(C)
     fixed = []
@@ -440,7 +355,7 @@ def _slice_cell_points(cell, coeff, C, torus, cond_tol=1e-6):
     for x0, V in _cell_shifts(cell, C[0]):
         n = V.shape[0]
         if ell != n:
-            raise InvalidInputError("point slicing needs chain length equal to n")
+            raise InvalidInputError("boundary balance needs chain length equal to n")
         for fi, lp in enumerate(last_pieces):
             rows = fixed + [lp]
             A = np.zeros((ell, n))
@@ -466,145 +381,36 @@ def _slice_cell_points(cell, coeff, C, torus, cond_tol=1e-6):
                 continue
             if band < 1e-11:
                 raise TransversalityError("slice point at a facet corner")
-            weight = coeff * (2.0 ** ell) / abs(det)
-            out.append((torus.wrap(xt), V.copy(), weight, float(np.sign(det))))
+            out.append(float(np.sign(det)))
     return out
 
 
 def _band_value(facet, x):
-    """Inward margin of x within facet's band, in the unwrapped frame."""
-    pieces, _ = facet_pieces(facet)
-    if not pieces:
+    """Inward margin of x within facet's band, in the unwrapped frame.
+
+    A vertex has no band: when the last facet of a chain is a vertex, the
+    solve has already pinned the crossing to it.
+    """
+    if facet.dim == 0:
         return float("inf")
+    pieces, _ = facet_pieces(facet)
     return min(float(nrm @ (np.asarray(x, float) - pt)) for nrm, pt in pieces)
 
 
-def _slice_cell_trace(cell, coeff, C, torus, resolution=8, cond_tol=1e-6):
-    """One-constraint slice of a 2-cell: the clipped trace segment."""
-    if len(C) != 1:
-        raise InvalidInputError("trace slicing implemented for n=2, length-1 C")
-    pieces, _ = facet_pieces(C[0])
-    facets = C[0].facets()
-    domain_rows = cell.domain.inequalities()
-    out = []
-    for x0, V in _cell_shifts(cell, C[0]):
-        n = V.shape[0]
-        if n != 2:
-            raise InvalidInputError("trace slicing implemented for n=2 cells")
-        out.extend(_trace_pieces(coeff, x0, V, domain_rows, pieces, facets,
-                                 torus, resolution, cond_tol))
-    return out
+def boundary_balance(target, C):
+    """Integral of du_{V_1} ^ ... ^ du_{V_n} over the exact crossings of a
+    chain of affine cells with the properly nested chain C.
 
-
-def _trace_pieces(coeff, x0, V, domain_rows, pieces, facets, torus, resolution,
-                  cond_tol):
-    out = []
-    for ci, (normal, point) in enumerate(pieces):
-        a = V @ normal
-        norm_a = float(np.linalg.norm(a))
-        if norm_a <= cond_tol:
-            continue
-        b = -normal @ (x0 - point)
-        # the line a.t = b inside the domain, within the active region of u
-        tp = a * (b / (a @ a))
-        dvec = np.array([-a[1], a[0]]) / norm_a
-        # restrict to the band of this facet: on the facet plane the band is
-        # the facet itself, so its own collar inequalities bound the trace;
-        # (x0 + tV - pp) . nn >= 0  ->  -(V nn).t <= (x0 - pp).nn
-        band_pieces, _ = facet_pieces(facets[ci])
-        rows = domain_rows + [(-(V @ nn), float((x0 - pp) @ nn))
-                              for nn, pp in band_pieces]
-        iv = clip_interval(-10.0, 10.0, [(r @ dvec, rb - r @ tp) for r, rb in rows])
-        if iv is None:
-            continue
-        s0, s1 = iv
-        length = s1 - s0
-        snodes = s0 + (np.arange(resolution) + 0.5) / resolution * length
-        for s in snodes:
-            t = tp + s * dvec
-            xt = x0 + t @ V
-            w = coeff * 2.0 / norm_a * (length / resolution)
-            out.append((torus.wrap(xt), V.copy(), w, 0.0))
-    return out
-
-
-def slice_measure(target, C, torus=None, eps_schedule=None, resolution=8):
-    """Slice of a chain or atom measure along a properly nested chain C.
-
-    Chain inputs with affine cells get the exact transversal-intersection
-    measure with co-area weights.  Atom clouds get the order-1 Richardson
-    extrapolation of eps^{-l} nu restricted to the collar B_eps(C).
+    Each transversal intersection contributes +-2^n times the cell
+    coefficient, the sign being that of the crossing Jacobian.  This
+    vanishes for cycles (Stokes on the skeleton collar) and counts net flux
+    for open chains.
     """
-    ell = len(C)
-    if isinstance(target, Chain):
-        if torus is None:
-            torus = target.terms[0][1].torus
-        atoms_x, atoms_v, atoms_w = [], [], []
-        n = target.terms[0][1].n
-        for coeff, cell in target.terms:
-            if ell == n:
-                pts = _slice_cell_points(cell, coeff, C, torus)
-            else:
-                pts = _slice_cell_trace(cell, coeff, C, torus,
-                                        resolution=resolution)
-            for x, v, w, _ in pts:
-                atoms_x.append(x); atoms_v.append(v); atoms_w.append(w)
-        if not atoms_x:
-            return DiscreteMeasure.empty(torus, n, positive=False)
-        return DiscreteMeasure(torus, n, np.array(atoms_x), np.array(atoms_v),
-                               np.array(atoms_w), positive=False)
-    mu = target
-    if eps_schedule is None:
-        raise InvalidInputError("atom-cloud slicing needs an eps schedule")
-    parts = []
-    sched = sorted(eps_schedule, reverse=True)[-2:]
-    coeffs = [1.0] if len(sched) == 1 else [-1.0, 2.0]
-    for fact, eps in zip(coeffs, sched):
-        mask = np.ones(len(mu.w), bool)
-        for Ci in C:
-            mask &= np.abs(u_value(Ci, mu.x)) <= eps
-        if mask.any():
-            parts.append(DiscreteMeasure(mu.torus, mu.n, mu.x[mask], mu.v[mask],
-                                         fact * mu.w[mask] / eps ** ell,
-                                         positive=False))
-    if not parts:
-        return DiscreteMeasure.empty(mu.torus, mu.n, positive=False)
-    return DiscreteMeasure.concatenate(parts)
-
-
-def balance_weight(C, x, v):
-    """W(p, C) = du_{V_1} ^ ... ^ du_{V_n} evaluated with raw-u differentials."""
+    if not isinstance(target, Chain):
+        raise InvalidInputError("boundary balance needs a chain of affine cells")
     n = len(C)
-    x = np.asarray(x, float).reshape(1, -1)
-    v = np.asarray(v, float).reshape(n, -1)
-    J = np.zeros((n, n))
-    for i, Ci in enumerate(C):
-        g = u_gradient(Ci, x)[0]
-        J[i] = v @ g
-    return float(np.linalg.det(J))
-
-
-def boundary_balance(target, C, eps_schedule=None):
-    """Integral of du_{V_1} ^ ... ^ du_{V_n} against the slice measure.
-
-    Chain inputs use exact crossings: each transversal intersection
-    contributes +-2^n times the cell coefficient, the sign being that of the
-    crossing Jacobian.  This vanishes for cycles (Stokes on the skeleton
-    collar) and counts net flux for open chains.
-    """
-    if isinstance(target, Chain):
-        if not target.terms:
-            return 0.0
-        torus = target.terms[0][1].torus
-        n = len(C)
-        total = 0.0
-        for coeff, cell in target.terms:
-            for _, _, _, sign in _slice_cell_points(cell, coeff, C, torus):
-                # weight * W(p) = (coeff 2^n / |det J|) * det J = coeff 2^n sgn
-                total += coeff * (2.0 ** n) * sign
-        return total
-    mu = slice_measure(target, C, eps_schedule=eps_schedule)
     total = 0.0
-    for i in range(len(mu.w)):
-        total += mu.w[i] * balance_weight(C, mu.x[i], mu.v[i])
+    for coeff, cell in target.terms:
+        for sign in _crossing_signs(cell, C):
+            total += coeff * (2.0 ** n) * sign
     return total

@@ -21,10 +21,7 @@ from holocycle.measures import (
     dist,
     exact_form_pairings,
     hol_residual,
-    kernel_density_model,
     read_measure,
-    sample_density,
-    velocity_bump_model,
     write_measure,
 )
 
@@ -312,41 +309,6 @@ def test_convolve_residual_slope():
     gaps = np.array([abs(hol_residual(convolve(mu, e, 5), 1) - base) for e in eps])
     slope = np.polyfit(np.log(eps), np.log(gaps), 1)[0]
     assert slope >= 0.9
-
-
-# -- density models ---------------------------------------------------
-
-def test_sample_density_total_mass_converges():
-    model = velocity_bump_model(T2, 1, [[1.0, 0.5]], 0.25)
-    masses = [sample_density(model, 3, rv).total_mass() for rv in (20, 40, 80)]
-    assert abs(masses[-1] - 1.0) < 0.01
-    assert abs(masses[-1] - 1.0) <= abs(masses[0] - 1.0)
-
-
-def test_sample_density_zero_density_empty():
-    from holocycle.measures import SmoothDensityModel
-
-    model = SmoothDensityModel(T2, 1, lambda x, v: np.zeros(len(x)), radius=1.0)
-    assert len(sample_density(model, 4, 4)) == 0
-
-
-def test_sample_density_x_marginal_uniform():
-    model = velocity_bump_model(T2, 1, [[1.0, 0.0]], 0.25)
-    mu = sample_density(model, 3, 40)
-    # constant-in-x density: weights per x cell all equal
-    totals = {}
-    for i in range(len(mu)):
-        key = tuple(np.floor(mu.x[i] * 3).astype(int))
-        totals[key] = totals.get(key, 0.0) + mu.w[i]
-    vals = np.array(list(totals.values()))
-    assert np.allclose(vals, vals[0])
-
-
-def test_kernel_density_model_positive_near_atoms():
-    mu = random_measure(0, k=3)
-    model = kernel_density_model(mu, 0.2)
-    vals = model(mu.x, mu.v)
-    assert np.all(vals > 0)
 
 
 # -- file format ------------------------------------------------------

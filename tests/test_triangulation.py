@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -11,12 +12,10 @@ from holocycle.triangulation import (
     Simplex,
     TorusTriangulation,
     TransversalityError,
+    _band_value,
     boundary_balance,
     facet_pieces,
     locate_simplex,
-    slice_measure,
-    u_gradient,
-    u_value,
 )
 
 T2 = FlatTorus(2)
@@ -51,9 +50,13 @@ def test_counts_scale_with_level():
 
 
 def test_every_interior_face_has_two_sides():
+    # the facet keys pair_cells groups traces by: each names exactly two tops
     for tri in (TRI2, TorusTriangulation(T2, 2), TRI3):
-        adj = tri.face_adjacency()
-        assert all(len(v) == 2 for v in adj.values())
+        sides = collections.Counter(
+            key for i in range(len(tri.top_simplices))
+            for key in tri.top_halfspaces(i)[1])
+        assert len(sides) == len(tri.skeleton(tri.torus.dim - 1))
+        assert set(sides.values()) == {2}
 
 
 def test_top_simplices_tile_unit_volume():
@@ -66,7 +69,7 @@ def test_size_guard():
         TorusTriangulation(T3, 5, max_top_simplices=10_000)
 
 
-# -- point location and charts ---------------------------------------
+# -- point location ---------------------------------------------------
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
@@ -82,16 +85,6 @@ def test_locate_contains_and_index_agree(seed):
 def test_locate_matches_free_function():
     x = np.array([0.31, 0.72, 0.05])
     assert TRI3.locate(x).key() == locate_simplex(T3, 1, x).key()
-
-
-def test_chart_round_trip():
-    s = TRI2.locate([0.3, 0.1])
-    ch = TRI2.chart(s)
-    x = np.array([0.31, 0.07])
-    lam = ch.to_chart(x)
-    assert np.allclose(ch.from_chart(lam), x)
-    # barycentric coordinates of an interior point of the simplex
-    assert lam.min() > 0 and lam.sum() < 1
 
 
 # -- nested chains ----------------------------------------------------
@@ -110,16 +103,18 @@ def test_nested_chain_faces_belong_to_parent():
         assert set(c[1].vertices) < parent
 
 
-# -- collar functions -------------------------------------------------
+# -- facet pieces -----------------------------------------------------
+# the raw collar function u_V is the least inward margin over the facet
+# pieces, which is what _band_value reads in the unwrapped frame
 
 def test_u_raw_signs():
     s = TRI2.top_simplices[0]
     bary = s.barycenter()
-    assert u_value(s, bary)[0] > 0
+    assert _band_value(s, bary) > 0
     for v in s.vertices:
-        assert u_value(s, np.array(v))[0] == pytest.approx(0.0, abs=1e-12)
+        assert _band_value(s, np.array(v)) == pytest.approx(0.0, abs=1e-12)
     far = bary + np.array([0.4, 0.0])
-    assert u_value(s, far)[0] < 0
+    assert _band_value(s, far) < 0
 
 
 def test_u_raw_is_distance_for_full_simplex():
@@ -130,54 +125,18 @@ def test_u_raw_is_distance_for_full_simplex():
     pieces, _ = facet_pieces(s)
     vals = [(inc - p) @ n for n, p in pieces]
     assert np.allclose(vals, r)
-    assert u_value(s, inc)[0] == pytest.approx(r)
+    assert _band_value(s, inc) == pytest.approx(r)
 
 
 def test_u_on_lower_dimensional_face():
     e = TRI3.skeleton(1)[0]
     mid = e.barycenter()
     # positive on the relative interior, zero at the endpoints
-    assert u_value(e, mid)[0] > 0
-    assert abs(u_value(e, np.array(e.vertices[0]))[0]) < 1e-12
+    assert _band_value(e, mid) > 0
+    assert abs(_band_value(e, np.array(e.vertices[0]))) < 1e-12
 
 
-def test_u_clamped_and_smoothed_profile():
-    s = TRI2.top_simplices[0]
-    eps = 0.05
-    bary = s.barycenter()
-    assert u_value(s, bary, "clamped", eps)[0] == 1.0
-    assert u_value(s, bary, "smoothed", eps)[0] == pytest.approx(1.0)
-    # smoothed version is within eps of the clamp everywhere
-    rng = np.random.default_rng(3)
-    xs = rng.random((64, 2))
-    gap = np.abs(u_value(s, xs, "smoothed", eps) - u_value(s, xs, "clamped", eps))
-    assert gap.max() <= 1.0 + 1e-12
-    assert np.median(gap) < 0.5
-
-
-def test_u_gradient_matches_finite_differences():
-    s = TRI2.top_simplices[1]
-    eps = 0.08
-    rng = np.random.default_rng(7)
-    pts = s.barycenter()[None] + 0.03 * rng.normal(size=(20, 2))
-    for variant in ("raw", "smoothed"):
-        g = u_gradient(s, pts, variant, eps)
-        h = 1e-6
-        for j in range(2):
-            dx = np.zeros(2)
-            dx[j] = h
-            fd = (u_value(s, pts + dx, variant, eps)
-                  - u_value(s, pts - dx, variant, eps)) / (2 * h)
-            assert np.abs(g[:, j] - fd).max() < 1e-5
-
-
-def test_u_requires_eps():
-    s = TRI2.top_simplices[0]
-    with pytest.raises(InvalidInputError):
-        u_value(s, s.barycenter(), "clamped")
-
-
-# -- slicing and boundary balance -------------------------------------
+# -- boundary balance -------------------------------------------------
 
 def entering_segment():
     V = TRI2.top_simplices[0]
@@ -198,6 +157,8 @@ def kronecker_loop():
 def test_entering_curve_balance_is_two():
     V, ch = entering_segment()
     assert boundary_balance(ch, (V,)) == pytest.approx(2.0)
+    # linear in the chain coefficients
+    assert boundary_balance(ch.scaled(2.0), (V,)) == pytest.approx(4.0)
 
 
 def test_leaving_curve_balance_is_minus_two():
@@ -236,29 +197,31 @@ def test_open_sheet_crossing_counts_four():
     assert vals.sum() == pytest.approx(0.0, abs=1e-12)
 
 
-def test_slice_measure_linearity():
+def test_surface_balances_on_t2():
+    # n = d = 2: the last simplex of each nested chain is an edge, whose
+    # facets are vertices
+    square = Box((0.0, 0.0), (1.0, 1.0))
+    closed = Chain(((1.0, Cell(T2, square, AffineMap([0.03, 0.07], np.eye(2)), 8)),))
+    # a patch over the lattice vertex (1/2, 1/2) and no other vertex
+    patch = Chain(((1.0, Cell(T2, square,
+                              AffineMap([0.4, 0.4], 0.2 * np.eye(2)), 8)),))
+    for level in (1, 2):
+        chains = TorusTriangulation(T2, level).nested_chains(2)
+        assert all(boundary_balance(closed, nc) == 0.0 for nc in chains)
+        vals = np.array([boundary_balance(patch, nc) for nc in chains])
+        assert set(vals[vals != 0.0]) == {-4.0, 4.0}
+        assert vals.sum() == 0.0
+
+
+def test_balance_needs_a_chain():
     V, ch = entering_segment()
-    single = slice_measure(ch, (V,), T2)
-    double = slice_measure(ch.scaled(2.0), (V,), T2)
-    assert double.total_mass() == pytest.approx(2 * single.total_mass())
-    assert len(single.w) == 1
-
-
-def test_trace_slice_of_closed_sheet_has_unit_order_mass():
-    sheet = Cell(T3, Box((0.0, 0.0), (1.0, 1.0)),
-                 AffineMap([0.03, 0.07, 0.37], [[1, 0, 0], [0, 1, 0]]), 8)
-    ch = Chain(((1.0, sheet),))
-    total = sum(slice_measure(ch, (tp,), T3, resolution=16).total_mass()
-                for tp in TRI3.top_simplices)
-    # co-area: the sheet meets the collars of all 48 tetrahedra with total
-    # normalized trace mass 2 * area (each point lies in the band of the
-    # facet pieces of exactly two facets on average)
-    assert total > 1.0
+    with pytest.raises(InvalidInputError):
+        boundary_balance(cell_measure(ch.terms[0][1]), (V,))
 
 
 def test_polygon_cell_slices_like_equal_box_cell():
     # every n = 2 pipeline cell has a PolygonDomain; a unit-square one must
-    # slice like the Box cell over the same square
+    # balance like the Box cell over the same square
     amap = AffineMap([0.30, 0.30, 0.25], 0.4 * np.array([[1, 0, 0], [0, 1, 0]]))
     square = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
     box = Chain(((1.0, Cell(T3, Box((0.0, 0.0), (1.0, 1.0)), amap, 8)),))
@@ -268,21 +231,6 @@ def test_polygon_cell_slices_like_equal_box_cell():
     assert any(abs(want) > 1.0 for _, want in balances)
     for got, want in balances:
         assert got == pytest.approx(want, abs=1e-12)
-    masses = [(slice_measure(poly, (tp,), T3).total_mass(),
-               slice_measure(box, (tp,), T3).total_mass())
-              for tp in TRI3.top_simplices]
-    assert sum(want for _, want in masses) > 0.0
-    for got, want in masses:
-        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
-
-
-def test_atom_cloud_balance_extrapolates_to_exact():
-    V, ch = entering_segment()
-    exact = boundary_balance(ch, (V,))
-    mu = cell_measure(Cell(T2, ch.terms[0][1].domain, ch.terms[0][1].map, 40000))
-    sched = [2.0 ** -k for k in (4, 5, 6)]
-    approx = boundary_balance(mu, (V,), eps_schedule=sched)
-    assert approx == pytest.approx(exact, abs=0.05)
 
 
 def test_degenerate_crossing_raises():
