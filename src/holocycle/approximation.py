@@ -444,12 +444,17 @@ class Pairing:
     threshold: float
 
 
-def _wrapped_gap(torus, x, y):
+# candidate pairs per array pass of pair_cells: a chunk temporary holds this
+# many rows, 1 MiB for the frame differences of n = 1 on T^2
+_PAIR_CHUNK = 1 << 16
+
+
+def _wrapped_gap(x, y):
     delta = np.asarray(x) - np.asarray(y)
     return float(np.linalg.norm(delta - np.round(delta)))
 
 
-def _nearest_end(torus, p, ends, penalty=None):
+def _nearest_end(p, ends, penalty=None):
     """Index of the first end minimizing _wrapped_gap(p, end) (+ penalty).
 
     The gaps to all ends are one array, but a row-wise norm can differ from
@@ -463,39 +468,132 @@ def _nearest_end(torus, p, ends, penalty=None):
     if penalty is not None:
         gaps += penalty
     near = np.flatnonzero(gaps <= gaps.min() + 1e-12)
-    exact = [_wrapped_gap(torus, p, ends[i])
+    exact = [_wrapped_gap(p, ends[i])
              + (0.0 if penalty is None else float(penalty[i])) for i in near]
     return int(near[int(np.argmin(exact))])
+
+
+def _trace_gap(xa, Va, ta, xb, Vb, tb):
+    """Pairing gap of two face traces (position x, frame V, edge tangent t).
+
+    The wrapped position distance plus the frame distance, plus the
+    edge-length difference when both traces carry a tangent (n = 2).
+    `_trace_gaps` is its array form.
+    """
+    gap = _wrapped_gap(xa, xb) + float(np.linalg.norm(Va - Vb))
+    if ta is not None and tb is not None:
+        gap += abs(float(np.linalg.norm(ta)) - float(np.linalg.norm(tb)))
+    return gap
+
+
+def _trace_gaps(X, F, T, a, b):
+    """`_trace_gap` of the trace pairs (a[i], b[i]) as one array, and the
+    mask of the pairs whose `_trace_gap` is exactly 0.0.
+
+    X holds positions, F flattened frames and T edge lengths (nan without a
+    tangent), each computed as `_trace_gap` does.  A row-wise norm can
+    differ from np.linalg.norm of that row in the last ulp, so these gaps
+    only select candidates; a pair with equal wrapped positions, frames and
+    edge lengths has gap 0.0 under both.
+    """
+    dx = X[a] - X[b]
+    dx -= np.round(dx)
+    dF = F[a] - F[b]
+    dT = np.abs(T[a] - T[b])
+    dT[np.isnan(dT)] = 0.0
+    gaps = (np.sqrt(np.einsum("ij,ij->i", dx, dx))
+            + np.sqrt(np.einsum("ij,ij->i", dF, dF)) + dT)
+    zero = ~(dx.any(axis=1) | dF.any(axis=1)) & (dT == 0.0)
+    return gaps, zero
+
+
+def _near_trace_pairs(face, traces, sim, threshold):
+    """(gap, a, b) for every pair a < b of traces on one face, with
+    different sims and `_trace_gap` below threshold.
+
+    face and sim are arrays, traces a list of (x, V, tangent).  Each face's
+    positions are taken relative to its first trace and sorted along the
+    axis of their widest spread.  Only pairs within w of each other on that
+    axis are measured, since the wrapped distance along one axis bounds the
+    gap from below; a face whose spread could wrap around the torus within
+    w measures all its pairs.  The array gaps select candidates, and each
+    one that is not exactly 0.0 is re-measured with `_trace_gap`.
+    """
+    m = len(traces)
+    gaps, lo, hi = [np.zeros(0)], [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    if m < 2:
+        return gaps[0], lo[0], hi[0]
+    X = np.array([t[0] for t in traces], dtype=float)
+    F = np.array([t[1] for t in traces], dtype=float).reshape(m, -1)
+    T = np.array([np.nan if t[2] is None else float(np.linalg.norm(t[2]))
+                  for t in traces])
+    nf = int(face.max()) + 1
+    by_face = np.argsort(face, kind="stable")
+    starts = np.searchsorted(face[by_face], np.arange(nf))
+    S = X - X[by_face[starts]][face]
+    S -= np.round(S)
+    span = (np.maximum.reduceat(S[by_face], starts)
+            - np.minimum.reduceat(S[by_face], starts))
+    axis = np.argmax(span, axis=1)
+    s = S[np.arange(m), axis[face]]
+    # the absolute slack covers the rounding of S
+    w = threshold * (1.0 + 1e-9) + 1e-9
+    dense = span[np.arange(nf), axis] >= 1.0 - w
+    order = np.lexsort((s, face))
+    fs, ss = face[order], s[order]
+    dense = dense[fs]
+    # sweep: pair each sorted trace with the one o places on, while both
+    # share a face and lie within w; past that no later one can
+    i = np.arange(m - 1)
+    o = 1
+    while i.size:
+        i = i[(fs[i + o] == fs[i]) & (dense[i] | (ss[i + o] - ss[i] <= w))]
+        a, b = order[i], order[i + o]
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        keep = sim[a] != sim[b]
+        a, b = a[keep], b[keep]
+        for c in range(0, len(a), _PAIR_CHUNK):
+            ca, cb = a[c:c + _PAIR_CHUNK], b[c:c + _PAIR_CHUNK]
+            g, zero = _trace_gaps(X, F, T, ca, cb)
+            sel = g < threshold * (1.0 + 1e-9)
+            gaps.append(np.where(zero[sel], 0.0, np.nan))
+            lo.append(ca[sel])
+            hi.append(cb[sel])
+        o += 1
+        i = i[i + o < m]
+    gap, a, b = (np.concatenate(v) for v in (gaps, lo, hi))
+    for k in np.flatnonzero(np.isnan(gap)):
+        gap[k] = _trace_gap(*traces[a[k]], *traces[b[k]])
+    keep = gap < threshold
+    return gap[keep], a[keep], b[keep]
 
 
 def pair_cells(records, tri, threshold=None):
     """Greedy matching of face traces across each interior (d-1)-face.
 
-    Cells from the two sides of a face are paired when their trace data
-    (position and frame, plus edge tangent for n = 2) differ by less than
-    the closeness bound, by default (diam T_k)^2.
+    Two traces on one face, from cells of different top simplices, are
+    candidates when their `_trace_gap` (position and frame, plus edge
+    length for n = 2) is below the closeness bound, by default
+    (diam T_k)^2.  Candidates are taken greedily in the order
+    (gap, ia, pa, ib, pb), where (ia, pa) is the trace that comes first in
+    record order, and each trace is paired at most once.
     """
     if threshold is None:
         threshold = tri.diameter ** 2
-    by_face = {}
+    keys = {}
+    face, traces, ids, sims = [], [], [], []
     for rec in records:
         for pos, key, x, V, tangent in rec.traces:
-            by_face.setdefault(key, []).append((rec, pos, x, V, tangent))
-    candidates = []
-    for key, entries in by_face.items():
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                ra, pa, xa, Va, ta = entries[i]
-                rb, pb, xb, Vb, tb = entries[j]
-                if ra.sim == rb.sim:
-                    continue
-                gap = _wrapped_gap(ra.cell.torus, xa, xb) + float(
-                    np.linalg.norm(Va - Vb))
-                if ta is not None and tb is not None:
-                    gap += abs(float(np.linalg.norm(ta)) - float(np.linalg.norm(tb)))
-                if gap < threshold:
-                    candidates.append((gap, ra.index, pa, rb.index, pb))
-    candidates.sort(key=lambda c: (c[0], c[1], c[2], c[3], c[4]))
+            face.append(keys.setdefault(key, len(keys)))
+            traces.append((x, V, tangent))
+            ids += (rec.index, pos)
+            sims.append(rec.sim)
+    gap, a, b = _near_trace_pairs(np.array(face, dtype=int), traces,
+                                  np.array(sims), threshold)
+    owner = np.array(ids, dtype=int).reshape(-1, 2)
+    (ia, pa), (ib, pb) = owner[a].T, owner[b].T
+    order = np.lexsort((pb, ib, pa, ia, gap))
+    candidates = zip(*(v[order].tolist() for v in (gap, ia, pa, ib, pb)))
     by_index = {rec.index: rec for rec in records}
     used = set()
     pairs = []
@@ -507,7 +605,7 @@ def pair_cells(records, tri, threshold=None):
         by_index[ia].paired[pa] = (ib, pb)
         by_index[ib].paired[pb] = (ia, pa)
         pairs.append(((ia, pa), (ib, pb), gap))
-    total_traces = sum(len(rec.traces) for rec in records)
+    total_traces = len(traces)
     unpaired = total_traces - 2 * len(pairs)
     ratio = unpaired / total_traces if total_traces else 0.0
     return Pairing(tuple(pairs), ratio, threshold)
@@ -676,7 +774,7 @@ def isoperimetric_fill(theta: Chain, m, apex=None, tol=1e-9):
         for w, p in plus:
             if not len(ends):
                 break
-            j = _nearest_end(torus, p, ends)
+            j = _nearest_end(p, ends)
             wq, q = weights.pop(j), ends[j]
             ends = np.delete(ends, j, axis=0)
             # connect the minus point to the plus point: boundary = +p - q
@@ -777,7 +875,7 @@ def close_up(beta: Chain, records, tri, connector_resolution=6, leaves=None):
             sim_p, p = plus[i]
             if not len(ends):
                 break
-            j = _nearest_end(torus, p, ends, np.where(sims == sim_p, 0.0, 0.25))
+            j = _nearest_end(p, ends, np.where(sims == sim_p, 0.0, 0.25))
             q = ends[j]
             sims, ends = np.delete(sims, j), np.delete(ends, j, axis=0)
             seg, length = _segment_cell(torus, p, q, connector_resolution)
@@ -892,7 +990,7 @@ def _link_loops(segments, decimals=9):
     """
     def key(p):
         q = np.asarray(p, float)
-        return tuple(np.round(q - np.floor(q), decimals))
+        return tuple(np.round(q - np.floor(q), decimals) % 1.0)
 
     outgoing = {}
     for i, (a, _) in enumerate(segments):

@@ -24,8 +24,11 @@ from holocycle.measures import (
     velocity_bump_model,
 )
 from holocycle.triangulation import TorusTriangulation
+import holocycle.approximation as approximation
 from holocycle.approximation import (
     GOLDEN,
+    CellRecord,
+    Pairing,
     PipelineConfig,
     assemble_beta,
     base_measure,
@@ -37,6 +40,7 @@ from holocycle.approximation import (
     solve_cells,
     _base_cloud,
     _frame_transversal,
+    _link_loops,
     _march_line,
     _patch_pieces,
     _reference_cloud,
@@ -257,6 +261,139 @@ def test_pairing_is_involutive():
         assert by_index[ib].paired[pb] == (ia, pa)
 
 
+def reference_pairing(records, threshold):
+    """The quadratic pairing loop pair_cells replaced: every pair of traces
+    on a face, in entry order, measured with np.linalg.norm.
+
+    Returns the Pairing and the paired dicts it implies, and leaves the
+    records as they are.
+    """
+    by_face = {}
+    for rec in records:
+        for pos, key, x, V, tangent in rec.traces:
+            by_face.setdefault(key, []).append((rec, pos, x, V, tangent))
+    candidates = []
+    for entries in by_face.values():
+        for i in range(len(entries)):
+            for j in range(i + 1, len(entries)):
+                ra, pa, xa, Va, ta = entries[i]
+                rb, pb, xb, Vb, tb = entries[j]
+                if ra.sim == rb.sim:
+                    continue
+                delta = np.asarray(xa) - np.asarray(xb)
+                gap = float(np.linalg.norm(delta - np.round(delta))) + float(
+                    np.linalg.norm(Va - Vb))
+                if ta is not None and tb is not None:
+                    gap += abs(float(np.linalg.norm(ta)) - float(np.linalg.norm(tb)))
+                if gap < threshold:
+                    candidates.append((gap, ra.index, pa, rb.index, pb))
+    candidates.sort(key=lambda c: (c[0], c[1], c[2], c[3], c[4]))
+    used = set()
+    pairs = []
+    paired = {rec.index: {} for rec in records}
+    for gap, ia, pa, ib, pb in candidates:
+        if (ia, pa) in used or (ib, pb) in used:
+            continue
+        used.add((ia, pa))
+        used.add((ib, pb))
+        paired[ia][pa] = (ib, pb)
+        paired[ib][pb] = (ia, pa)
+        pairs.append(((ia, pa), (ib, pb), gap))
+    total = sum(len(rec.traces) for rec in records)
+    ratio = (total - 2 * len(pairs)) / total if total else 0.0
+    return Pairing(tuple(pairs), ratio, threshold), paired
+
+
+def assert_pairs_like_reference(records, threshold):
+    want, want_paired = reference_pairing(records, threshold)
+    got = pair_cells(records, None, threshold)
+    assert got == want
+    assert {rec.index: rec.paired for rec in records} == want_paired
+    return got
+
+
+def varying_model():
+    bump = line_model()
+    return SmoothDensityModel(
+        T2, 1, lambda x, v: (1.0 + 0.5 * np.cos(2 * np.pi * x[:, 0]))
+        * bump.density(x, v), bump.radius, x_constant=False,
+        v_sampler=bump.v_sampler)
+
+
+@pytest.mark.parametrize("model, level, leaf_count, extent", [
+    (line_model, 1, 4, 3.0), (line_model, 2, 8, 4.2), (line_model, 3, 16, 6.0),
+    (plane_model, 1, 4, 1.0), (plane_model, 2, 4, 1.0),
+    (varying_model, 2, 8, 4.2), (varying_model, 3, 16, 6.0)])
+def test_pairing_matches_quadratic_reference(model, level, leaf_count, extent):
+    tri, _, records = pipeline_records(model(), level=level,
+                                       leaf_count=leaf_count, extent=extent,
+                                       seed=0)
+    got = assert_pairs_like_reference(records, tri.diameter ** 2)
+    assert got.pairs
+    if model is varying_model:
+        # thinning leaves traces with no partner across the face
+        assert got.unpaired_ratio > 0
+
+
+def test_pairing_across_the_seam():
+    # two traces of one face at x1 = 1e-9 and x1 = 1 - 1e-9 are 2e-9 apart
+    V = np.array([[1.0, GOLDEN]])
+    recs = [CellRecord(i, i, i, None, 1.0, ()) for i in range(3)]
+    recs[0].traces = [(1, "f", np.array([1e-9, 0.3]), V, None)]
+    recs[1].traces = [(0, "f", np.array([1.0 - 1e-9, 0.3]), V, None)]
+    recs[2].traces = [(0, "f", np.array([0.5, 0.3]), V, None)]
+    got = assert_pairs_like_reference(recs, 1e-3)
+    assert [(a, b) for a, b, _ in got.pairs] == [((0, 1), (1, 0))]
+    assert got.pairs[0][2] == pytest.approx(2e-9)
+
+
+@st.composite
+def face_traces(draw):
+    """Records whose traces crowd a few faces: positions on a coarse grid
+    around each face's center, wrapped so that centers at 0 straddle the
+    seam, a few shared frames and tangents (equal gaps, exact zeros), few
+    sims, and singleton faces.  Some draws spread a face around the whole
+    torus, so that near pairs lie at opposite ends of its sorted axis."""
+    d = draw(st.sampled_from((2, 3)))
+    n = draw(st.sampled_from((1, 2)))
+    centers = draw(st.lists(st.sampled_from((0.0, 0.25, 0.5)), min_size=1,
+                            max_size=4))
+    scale = draw(st.sampled_from((256.0, 8.0)))
+    frames = [np.eye(n, d) + 0.01 * k for k in range(3)]
+    tangents = [np.full(d, 0.01 * (k + 1)) for k in range(3)]
+    records = []
+    for _ in range(draw(st.integers(1, 12))):
+        rec = CellRecord(0, 0, draw(st.integers(0, 2)), None, 1.0, ())
+        for pos in range(draw(st.integers(1, 3))):
+            f = draw(st.integers(0, len(centers) - 1))
+            offset = np.array(draw(st.lists(st.integers(-4, 4), min_size=d,
+                                            max_size=d))) / scale
+            x = (centers[f] + offset) % 1.0 + draw(st.sampled_from((0.0, 1.0)))
+            V = frames[draw(st.integers(0, 2))]
+            t = tangents[draw(st.integers(0, 2))] if n == 2 else None
+            rec.traces.append((pos, ("face", f), x, V, t))
+        records.append(rec)
+    # record indices need not follow list order
+    for rec, index in zip(records, draw(st.permutations(range(len(records))))):
+        rec.index = index
+    return records
+
+
+@given(face_traces(), st.integers(1, 5), st.integers(0, 3), st.data())
+@settings(max_examples=80, deadline=None)
+def test_pairing_matches_reference_on_synthetic_traces(records, chunk, kind, data):
+    # thresholds one ulp each side of a gap that occurs, and a wide one that
+    # makes every face wrap around; a small chunk puts chunk boundaries
+    # inside faces
+    gaps, _ = reference_pairing(records, math.inf)
+    pool = sorted({g for *_, g in gaps.pairs} - {0.0}) or [0.01]
+    g = data.draw(st.sampled_from(pool))
+    threshold = (np.nextafter(g, -1.0), g, np.nextafter(g, 2.0), 0.7)[kind]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(approximation, "_PAIR_CHUNK", chunk)
+        assert_pairs_like_reference(records, float(threshold))
+
+
 def test_glue_leaves_exact_pairs_alone():
     tri, _, records = pipeline_records(line_model(), leaf_count=3)
     pairing = pair_cells(records, tri)
@@ -414,6 +551,17 @@ def test_close_up_wrapping_patch_uses_cylinder_fills():
     assert hierarchy["fill_mass"] < 1e-2
     mu = chain_measure(eta)
     assert hol_residual(mu.scaled(1.0 / mu.total_mass()), 2) < 1e-4
+
+
+def test_link_loops_closes_across_the_seam():
+    # one vertex computed on both sides of x1 = 1 still links one loop
+    seam = [((0.5, 0.2), (0.99999999996, 0.2)), ((1.00000000001, 0.2), (0.5, 0.6)),
+            ((0.5, 0.6), (0.5, 0.2))]
+    inner = [((0.25, 0.2), (0.74999999996, 0.2)), ((0.75000000001, 0.2), (0.25, 0.6)),
+             ((0.25, 0.6), (0.25, 0.2))]
+    for segments in (seam, inner):
+        loops = _link_loops(segments)
+        assert len(loops) == 1 and len(loops[0]) == 3
 
 
 def test_close_up_empty_rejected():
