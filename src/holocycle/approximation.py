@@ -34,6 +34,7 @@ from .chains import (
     PolygonDomain,
     ShiftedCurve,
     cell_measure,
+    chain_atoms,
     chain_measure,
     clip_polygon_halfspace,
     polygon_area,
@@ -1113,7 +1114,9 @@ def approximate(model: SmoothDensityModel, cfg: PipelineConfig = None,
 
     The report rows contain the three distance summands, the mass and
     total-mass gaps, the holonomy residual of the produced cycle, action
-    gaps for the configured Lagrangians, and the rotation vector.
+    gaps for the configured Lagrangians, and the rotation vector.  A stage
+    failure, or a level whose cycle measure does not have total mass 1
+    within 1e-9, raises InvalidInputError naming the level.
     """
     if cfg is None:
         cfg = PipelineConfig()
@@ -1155,11 +1158,18 @@ def approximate(model: SmoothDensityModel, cfg: PipelineConfig = None,
             raise InvalidInputError(f"stage {stage} failed at k={k}: {exc}") from exc
         quad_beta, quad_eta = _quadrature_chains(samples, beta, eta, records,
                                                  cfg.nodes_per_unit)
-        mu_beta = chain_measure(quad_beta)
-        mu_eta_raw = chain_measure(quad_eta)
+        # quad_beta's cells are the first cells of quad_eta (close_up only
+        # appends), so one quadrature serves all three measures
+        atoms = chain_atoms(quad_eta)
+        mu_beta = chain_measure(quad_beta, atoms)
+        mu_eta_raw = chain_measure(quad_eta, atoms)
         scale = mu_eta_raw.total_mass()
         eta_prob = quad_eta.scaled(1.0 / scale)
-        mu_eta = chain_measure(eta_prob)
+        mu_eta = chain_measure(eta_prob, atoms)
+        total = mu_eta.total_mass()
+        if abs(total - 1.0) > 1e-9:
+            raise InvalidInputError(f"cycle measure at k={k} is not a "
+                                    f"probability (mass {total})")
         base_cloud = _base_cloud(ref, base)
         base_moments = (ref_moments if base_cloud is ref
                         else family.moments(base_cloud, DIST_TRUNCATION))

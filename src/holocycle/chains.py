@@ -70,20 +70,28 @@ def clip_polygon_halfspace(vertices, a, b, labels=None, new_label=None):
     return (poly, keep_labels) if labeled else poly
 
 
+def _shoelace(vertices):
+    """x, y, the next vertex's x and y, and the terms x_i y_{i+1} - x_{i+1} y_i."""
+    nxt = np.concatenate([vertices[1:], vertices[:1]])
+    x, y, xn, yn = vertices[:, 0], vertices[:, 1], nxt[:, 0], nxt[:, 1]
+    return x, y, xn, yn, x * yn - xn * y
+
+
 def polygon_area(vertices):
     if len(vertices) < 3:
         return 0.0
-    x, y = vertices[:, 0], vertices[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    return 0.5 * float(np.sum(_shoelace(vertices)[4]))
 
 
 def polygon_centroid(vertices):
-    a = polygon_area(vertices)
+    if len(vertices) < 3:
+        return vertices.mean(axis=0)
+    x, y, xn, yn, cross = _shoelace(vertices)
+    a = 0.5 * float(np.sum(cross))
     if abs(a) < 1e-300:
         return vertices.mean(axis=0)
-    x, y = vertices[:, 0], vertices[:, 1]
-    cx = np.sum((x + np.roll(x, -1)) * (x * np.roll(y, -1) - np.roll(x, -1) * y))
-    cy = np.sum((y + np.roll(y, -1)) * (x * np.roll(y, -1) - np.roll(x, -1) * y))
+    cx = np.sum((x + xn) * cross)
+    cy = np.sum((y + yn) * cross)
     return np.array([cx, cy]) / (6.0 * a)
 
 
@@ -659,26 +667,17 @@ def _gl_interval(lo, hi, resolution):
     return t, w
 
 
-def _refine_triangle(tri, depth):
-    """Uniform 4-way refinement of a triangle, depth times."""
-    tris = [np.asarray(tri, float)]
-    for _ in range(depth):
-        nxt = []
-        for t in tris:
-            m01, m12, m20 = 0.5 * (t[0] + t[1]), 0.5 * (t[1] + t[2]), 0.5 * (t[2] + t[0])
-            nxt.extend([np.array([t[0], m01, m20]), np.array([m01, t[1], m12]),
-                        np.array([m20, m12, t[2]]), np.array([m01, m12, m20])])
-        tris = nxt
-    return tris
-
-
 def _quad_nodes(domain, resolution):
     """Quadrature nodes and weights on the domain.
 
     Composite 4-point Gauss-Legendre per axis for intervals and boxes
     (resolution = number of subintervals), and a degree-5 triangle rule on
     a refined fan triangulation for convex polygon domains (resolution =
-    target number of subdivisions across the polygon diameter).
+    target number of subdivisions across the polygon diameter).  Each fan
+    triangle (centroid, vertex i, vertex i + 1) is split uniformly into 4
+    children per level, at most 7 levels, as a (T, 3, 2) array; the children
+    of sub-triangle j are 4j..4j+3, in the order (t0, m01, m20),
+    (m01, t1, m12), (m20, m12, t2), (m01, m12, m20).
     """
     n = domain.n
     if n == 0:
@@ -710,13 +709,17 @@ def _quad_nodes(domain, resolution):
             longest = max(float(np.linalg.norm(tri[a] - tri[b]))
                           for a, b in ((0, 1), (1, 2), (2, 0)))
             depth = max(0, int(math.ceil(math.log2(max(longest / max(target, 1e-12), 1.0)))))
-            depth = min(depth, 7)
-            for sub in _refine_triangle(tri, depth):
-                pts = _TRI5_BARY @ sub
-                s1, s2 = sub[1] - sub[0], sub[2] - sub[0]
-                a2 = abs(float(s1[0] * s2[1] - s1[1] * s2[0]))
-                nodes.append(pts)
-                weights.append(_TRI5_W * (0.5 * a2))
+            subs = tri[None]
+            for _ in range(min(depth, 7)):
+                t0, t1, t2 = subs[:, 0], subs[:, 1], subs[:, 2]
+                m01, m12, m20 = 0.5 * (t0 + t1), 0.5 * (t1 + t2), 0.5 * (t2 + t0)
+                subs = np.stack([t0, m01, m20, m01, t1, m12,
+                                 m20, m12, t2, m01, m12, m20],
+                                axis=1).reshape(-1, 3, 2)
+            s1, s2 = subs[:, 1] - subs[:, 0], subs[:, 2] - subs[:, 0]
+            a2 = np.abs(s1[:, 0] * s2[:, 1] - s1[:, 1] * s2[:, 0])
+            nodes.append(np.matmul(_TRI5_BARY, subs).reshape(-1, 2))
+            weights.append((_TRI5_W[None] * (0.5 * a2)[:, None]).reshape(-1))
         if not nodes:
             raise InvalidInputError("degenerate 2-d domain")
         return np.concatenate(nodes), np.concatenate(weights)
@@ -732,12 +735,55 @@ def cell_measure(cell: Cell, coefficient=1.0):
                            positive=coefficient >= 0)
 
 
-def chain_measure(alpha: Chain):
+_EMPTY_CHAIN = ("empty chain has no induced measure; use an explicit empty "
+                "DiscreteMeasure")
+
+
+def chain_atoms(alpha: Chain):
+    """Quadrature atoms of every cell of alpha at coefficient 1, built once.
+
+    Returns (cells, unit, counts): the cells in term order, one measure
+    holding the cell_measure(c) atoms of all of them in that order, and the
+    atom count of each term.  chain_measure(beta, atoms) weights these
+    atoms for any chain beta whose cells are a prefix of cells, so chains
+    that share cells share one quadrature.  unit's arrays are read-only:
+    every measure weighted from them shares its frames.
+    """
     if not alpha.terms:
-        raise InvalidInputError("empty chain has no induced measure; use an "
-                                "explicit empty DiscreteMeasure")
-    return DiscreteMeasure.concatenate(
-        [cell_measure(c, a) for a, c in alpha.terms])
+        raise InvalidInputError(_EMPTY_CHAIN)
+    cells = tuple(c for _, c in alpha.terms)
+    parts = [cell_measure(c) for c in cells]
+    unit = DiscreteMeasure(cells[0].torus, cells[0].n,
+                           np.concatenate([p.x for p in parts]),
+                           np.concatenate([p.v for p in parts]),
+                           np.concatenate([p.w for p in parts]))
+    for arr in (unit.x, unit.v, unit.w):
+        arr.setflags(write=False)
+    return cells, unit, np.array([len(p.w) for p in parts])
+
+
+def chain_measure(alpha: Chain, atoms=None):
+    """Pushforward measure of the chain: each cell's atoms times its coefficient.
+
+    atoms, from chain_atoms, is a table whose cells start with alpha's own
+    cells (the same objects); without it the table of alpha is built.  The
+    measure's frames v are a read-only view into the table.  Terms whose
+    cell has no atoms do not count towards positivity.
+    """
+    if not alpha.terms:
+        raise InvalidInputError(_EMPTY_CHAIN)
+    cells, unit, counts = chain_atoms(alpha) if atoms is None else atoms
+    m = len(alpha.terms)
+    if m > len(cells) or any(c is not t for (_, c), t in zip(alpha.terms, cells)):
+        raise InvalidInputError("chain's cells are not a prefix of the atom "
+                                "table's cells")
+    coeffs = np.array([a for a, _ in alpha.terms], float)
+    size = int(counts[:m].sum())
+    if not size:
+        raise InvalidInputError("nothing to concatenate")
+    return DiscreteMeasure(unit.torus, unit.n, unit.x[:size], unit.v[:size],
+                           np.repeat(coeffs, counts[:m]) * unit.w[:size],
+                           positive=bool(np.all(coeffs[counts[:m] > 0] >= 0)))
 
 
 def boundary(alpha: Chain):

@@ -58,20 +58,6 @@ class DiscreteMeasure:
         return cls(torus, n, np.zeros((0, torus.dim)), np.zeros((0, n, torus.dim)),
                    np.zeros(0), positive)
 
-    @classmethod
-    def concatenate(cls, parts):
-        parts = [p for p in parts if len(p.w)]
-        if not parts:
-            raise InvalidInputError("nothing to concatenate")
-        p0 = parts[0]
-        return cls(
-            p0.torus, p0.n,
-            np.concatenate([p.x for p in parts]),
-            np.concatenate([p.v for p in parts]),
-            np.concatenate([p.w for p in parts]),
-            positive=all(p.positive for p in parts),
-        )
-
     def __len__(self):
         return len(self.w)
 

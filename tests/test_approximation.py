@@ -12,6 +12,7 @@ from holocycle.chains import (
     Box,
     Cell,
     Chain,
+    GluedMap,
     boundary,
     cell_measure,
     chain_from_dict,
@@ -30,6 +31,7 @@ from holocycle.approximation import (
     CellRecord,
     Pairing,
     PipelineConfig,
+    approximate,
     assemble_beta,
     base_measure,
     close_up,
@@ -46,6 +48,7 @@ from holocycle.approximation import (
     _reference_cloud,
 )
 from holocycle.chains import polygon_area
+from test_chains import assert_atoms_match_fresh
 
 T2 = FlatTorus(2)
 T3 = FlatTorus(3)
@@ -567,6 +570,62 @@ def test_link_loops_closes_across_the_seam():
 def test_close_up_empty_rejected():
     with pytest.raises(InvalidInputError):
         close_up(Chain(()), [], None)
+
+
+# -- quadrature measures -----------------------------------------------
+
+def level_chains(model, level, leaf_count, extent, jitter):
+    """The records, beta and (quad_beta, quad_eta) of one level at seed 0,
+    built as approximate() builds them."""
+    tri = TorusTriangulation(model.torus, level)
+    samples = sample_cells(base_measure(model, tri), 0, leaf_count,
+                           leaf_extent=extent, frame_jitter=jitter)
+    records = solve_cells(samples, nodes_per_unit=16.0)
+    records, _ = glue(records, pair_cells(records, tri))
+    beta, _ = assemble_beta(records)
+    eta, _ = close_up(beta, records, tri, leaves=samples.leaves)
+    return records, beta, approximation._quadrature_chains(samples, beta, eta,
+                                                           records, 16.0)
+
+
+@pytest.mark.parametrize("model, level, leaf_count, extent, jitter", [
+    (line_model, 2, 4, 3.0 * 2 ** 0.5, 1e-6),  # leaves merged back into cells
+    (plane_model, 2, 8, 1.0, 5e-5),  # three cells glued: the pieces stay
+    (varying_model, 2, 8, 4.2, 1e-6)])  # x-varying density, thinned pieces
+def test_one_atom_table_serves_beta_and_eta(model, level, leaf_count, extent,
+                                            jitter):
+    records, beta, (quad_beta, quad_eta) = level_chains(model(), level,
+                                                        leaf_count, extent, jitter)
+    assert (quad_beta is beta) == (model is not line_model)
+    if model is plane_model:
+        assert sum(isinstance(rec.cell.map, GluedMap) for rec in records) == 3
+    scale = chain_measure(quad_eta).total_mass()
+    assert_atoms_match_fresh(quad_beta, quad_eta, 1.0 / scale)
+
+
+def test_rows_read_the_beta_and_eta_measures():
+    cfg = PipelineConfig(k_max=2, leaves=2, leaf_length=2.0, seed=5,
+                         nodes_per_unit=32)
+    out = approximate(line_model(), cfg)
+    for row, art in zip(out["rows"], out["artifacts"]):
+        mu_beta = chain_measure(art["beta"])
+        mu_eta = chain_measure(art["eta_cells"])
+        assert row["connector_mass"] > 1e-3
+        assert row["mass_beta"] == pytest.approx(mu_beta.mass(), rel=1e-12)
+        assert row["mass_eta"] == pytest.approx(mu_eta.mass(), rel=1e-12)
+        assert row["total_mass_gap"] == pytest.approx(
+            abs(mu_eta.total_mass() - mu_beta.total_mass()), rel=1e-9)
+
+
+def test_cycle_measure_must_be_a_probability(monkeypatch):
+    scaled = Chain.scaled
+    monkeypatch.setattr(Chain, "scaled",
+                        lambda self, factor: scaled(self, 1.01 * factor))
+    cfg = PipelineConfig(k_max=1, leaves=2, leaf_length=2.0, seed=5,
+                         nodes_per_unit=32)
+    with pytest.raises(InvalidInputError,
+                       match=r"cycle measure at k=1 is not a probability \(mass 1\.01"):
+        approximate(line_model(), cfg)
 
 
 # -- driver ------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from holocycle.chains import Chain
 from holocycle.cli import _lagrangian, main, trig_to_dict
 from holocycle.geometry import FlatTorus, TrigPolynomial, form_basis
 from holocycle.measures import DiscreteMeasure, read_measure, write_measure
@@ -170,6 +171,18 @@ def test_approximate_deterministic(tmp_path):
     _, out1 = run_approx(tmp_path, "a")
     _, out2 = run_approx(tmp_path, "b")
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+
+
+def test_approximate_exits_3_when_the_cycle_is_not_a_probability(
+        tmp_path, capsys, monkeypatch):
+    scaled = Chain.scaled
+    monkeypatch.setattr(Chain, "scaled",
+                        lambda self, factor: scaled(self, 1.01 * factor))
+    rc, out = run_approx(tmp_path)
+    assert rc == 3
+    assert ("stage failure: cycle measure at k=1 is not a probability"
+            in capsys.readouterr().err)
+    assert not (out / "report.csv").exists()
 
 
 def test_approximate_missing_config(tmp_path):
